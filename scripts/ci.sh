@@ -5,18 +5,39 @@
 # Usage: scripts/ci.sh [build-dir]
 #   P2PS_CI_SEED   seed for the scenario smoke pass (default 2002)
 #   P2PS_CI_SCALE  population divisor for the smoke pass (default 10)
-#   P2PS_SANITIZE  opt-in sanitizer pass: 'address' or 'undefined'. The
-#                  whole tier-1 + smoke run repeats under the instrumented
+#   P2PS_SANITIZE  opt-in sanitizer pass: 'address', 'undefined' or
+#                  'thread'. With 'address' or 'undefined' the whole
+#                  tier-1 + smoke run repeats under the instrumented
 #                  build; use a dedicated build dir (sanitizer flags are
 #                  cached). RSS-budget checks are skipped — sanitized RSS
-#                  is not comparable to production RSS.
+#                  is not comparable to production RSS. With 'thread' only
+#                  the suites that run shards on several threads
+#                  (shard_test, obs_test, both with 2-4-thread cases) are
+#                  built and run, in build-tsan/ unless a build dir is
+#                  given; any ThreadSanitizer report fails the pass.
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
-build_dir="${1:-${repo_root}/build}"
 seed="${P2PS_CI_SEED:-2002}"
 scale="${P2PS_CI_SCALE:-10}"
 sanitize="${P2PS_SANITIZE:-}"
+
+if [ "${sanitize}" = "thread" ]; then
+  build_dir="${1:-${repo_root}/build-tsan}"
+  echo "==> thread sanitizer: configure + build shard_test, obs_test"
+  cmake -B "${build_dir}" -S "${repo_root}" -DP2PS_WERROR=ON \
+      -DCMAKE_BUILD_TYPE=RelWithDebInfo -DP2PS_SANITIZE=thread \
+      -DP2PS_BUILD_BENCH=OFF -DP2PS_BUILD_EXAMPLES=OFF
+  cmake --build "${build_dir}" -j "$(nproc)" --target shard_test obs_test
+  for suite in shard_test obs_test; do
+    echo "==> thread sanitizer: ${suite}"
+    TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}" \
+        "${build_dir}/tests/${suite}"
+  done
+  echo "==> OK: shard_test and obs_test clean under -fsanitize=thread"
+  exit 0
+fi
+build_dir="${1:-${repo_root}/build}"
 
 if [ -n "${sanitize}" ]; then
   echo "==> tier-1: configure (warnings are errors, -fsanitize=${sanitize})"
@@ -281,6 +302,23 @@ cmp "${smoke_dir}/msg_fig5_sharded.1.json" \
 }
 grep -q '"mechanics"' "${smoke_dir}/msg_fig5_sharded.1.json" && {
   echo "FAIL: sharded payload leaked mechanics without --mechanics" >&2
+  exit 1
+}
+# For a fixed --shards the mechanics block is thread-invariant too, apart
+# from the knob's own echo ("threads") and the process's peak RSS (and
+# bytes_per_peer, derived from it).
+strip_thread_fields() {
+  sed -E 's/"(threads|peak_rss_bytes|bytes_per_peer)":[0-9.eE+-]+/"\1":0/g'
+}
+for threads in 1 4; do
+  "${runner}" msg_fig5_sharded --seed "${seed}" --scale "${scale}" --compact \
+      --shards 4 --mechanics --shard-threads "${threads}" \
+      | strip_thread_fields > "${smoke_dir}/msg_fig5_sharded.m${threads}t.json"
+done
+cmp "${smoke_dir}/msg_fig5_sharded.m1t.json" \
+    "${smoke_dir}/msg_fig5_sharded.m4t.json" || {
+  echo "FAIL: msg_fig5_sharded --mechanics differs between --shard-threads" \
+       "1 and 4 (beyond threads and peak RSS)" >&2
   exit 1
 }
 

@@ -184,7 +184,7 @@ void ShardedSystem::Directory::flush_due(util::SimTime through) {
 
 std::size_t ShardedSystem::Directory::visible_count(int shard, util::SimTime at) {
   const std::int64_t at_ms = at.as_millis();
-  std::size_t& cursor = cursors_[static_cast<std::size_t>(shard)];
+  std::size_t& cursor = cursors_[static_cast<std::size_t>(shard)].index;
   while (cursor < visible_ms_.size() && visible_ms_[cursor] <= at_ms) ++cursor;
   return cursor;
 }
@@ -193,7 +193,10 @@ std::size_t ShardedSystem::Directory::visible_count(int shard, util::SimTime at)
 // Shard
 // ---------------------------------------------------------------------------
 
-struct ShardedSystem::Shard {
+/// Cache-line aligned: each Shard is written by the thread running it
+/// during a window, so it must not share a line with a neighbouring
+/// allocation.
+struct alignas(64) ShardedSystem::Shard {
   /// Back-pointer for the router's context-pointer delivery trampoline
   /// (ShardRouter::Handler is a raw function pointer, not a std::function,
   /// so the capture state lives here).
@@ -779,7 +782,7 @@ void ShardedSystem::make_supplier(Shard& shard, std::uint32_t local) {
   // Probe-visible exactly one lookahead window from now: late enough that
   // no query in the current window can see it (partition-independence),
   // as tight as the conservative protocol allows.
-  join_buffers_[static_cast<std::size_t>(shard.index)].push_back(
+  join_buffers_[static_cast<std::size_t>(shard.index)].joins.push_back(
       Directory::Join{to_ms32(shard.sim.now() + lookahead_),
                       static_cast<std::uint32_t>(self.value())});
 }
@@ -796,7 +799,7 @@ void ShardedSystem::take_sample(Shard& shard, util::SimTime t) {
 // Telemetry
 // ---------------------------------------------------------------------------
 
-/// Coordinator-side telemetry wiring, allocated in run() when a sink is
+/// Serial-step telemetry wiring, allocated in run() when a sink is
 /// attached: the profiler handle the runner's callbacks use, and the
 /// cross-shard batch-size histogram observed at every barrier.
 struct ShardedSystem::TelemetryState {
@@ -923,26 +926,30 @@ ShardedResult ShardedSystem::run() {
                           config_.fusion);
   sim::ShardRunner::Callbacks callbacks;
   callbacks.profiler = telem_ ? telem_->profiler : nullptr;
+  // A shard's next event is its simulator's earliest pending event or,
+  // if sooner, the earliest delivery among the cross-shard envelopes it
+  // sent this window (pulled by their destinations only when the next
+  // window starts).
   callbacks.next_event_time = [this](int shard) {
-    return shards_[static_cast<std::size_t>(shard)]->sim.next_event_time();
+    auto next = shards_[static_cast<std::size_t>(shard)]->sim.next_event_time();
+    const auto sent = router_.earliest_sent(shard);
+    if (sent && (!next || *sent < *next)) next = sent;
+    return next;
   };
   callbacks.at_window_start = [this](util::SimTime window_end) {
     directory_.flush_due(window_end);
   };
+  callbacks.pull = [this](int shard) { router_.pull(shard); };
   callbacks.run_to = [this](int shard, util::SimTime t) {
     shards_[static_cast<std::size_t>(shard)]->sim.run_until(t);
   };
   callbacks.at_barrier = [this](util::SimTime window_end) {
-    {
-      obs::ScopedPhase route(telem_ ? telem_->profiler : nullptr,
-                             obs::Phase::kRouteDrain);
-      router_.exchange();
-    }
-    for (auto& joins : join_buffers_) {
-      for (const Directory::Join& join : joins) {
+    router_.seal_window();
+    for (JoinBuffer& buffer : join_buffers_) {
+      for (const Directory::Join& join : buffer.joins) {
         directory_.enqueue(join.visible_ms, join.peer);
       }
-      joins.clear();  // capacity kept
+      buffer.joins.clear();  // capacity kept
     }
     if (telem_) {
       const std::uint64_t total = router_.cross_shard_total();
@@ -956,6 +963,11 @@ ShardedResult ShardedSystem::run() {
     }
   };
   runner.run(config_.horizon, callbacks);
+  // The final window's cross-shard envelopes are due past the horizon and
+  // never delivered; parking them in their destinations' delivery groups
+  // anyway keeps the end-of-run pending and pool counters those of a
+  // runner that exchanged at every barrier.
+  router_.exchange();
 
   for (auto& shard_ptr : shards_) shard_ptr->sampler->stop();
 

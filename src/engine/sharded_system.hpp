@@ -102,13 +102,10 @@ struct ShardedConfig {
   int shards = 1;
   /// Worker threads (clamped to [1, shards]); wall-clock only.
   int threads = 1;
-  /// Window-fusion factor (>= 1): up to this many unit lookahead windows
-  /// execute per runner dispatch (sim/shard_runner.hpp). Byte-invisible
-  /// like shards/threads — the executed sub-window sequence is identical
-  /// for every value; only mechanics counters and wall-clock change. 32
-  /// is the measured sweet spot on perf_sharded_scale: higher factors
-  /// accumulate enough undelivered cross-shard traffic between exchanges
-  /// to spill the cache and give the barrier savings back.
+  /// Window-fusion factor (>= 1): up to this many sub-windows are counted
+  /// per runner dispatch (sim/shard_runner.hpp). Byte-invisible like
+  /// shards/threads — the executed sub-window sequence is identical for
+  /// every value; only the windows / windows_fused split changes.
   int fusion = 32;
 
   sim::EventListKind event_list = sim::EventListKind::kBinaryHeap;
@@ -123,7 +120,7 @@ struct ShardedConfig {
 
   /// Borrowed runtime telemetry sink (null = off). Out-of-band: the
   /// engine publishes per-shard registry lanes and polls for snapshots
-  /// only at window barriers (coordinator-side), so the merged payload is
+  /// only in the serial window-barrier step, so the merged payload is
   /// byte-identical with or without it (docs/observability.md).
   obs::Telemetry* telemetry = nullptr;
 
@@ -322,11 +319,11 @@ class ShardedSystem {
     static_assert(sizeof(Join) == 8, "directory joins must stay 8 bytes");
 
     explicit Directory(int num_shards)
-        : cursors_(static_cast<std::size_t>(num_shards), 0) {}
+        : cursors_(static_cast<std::size_t>(num_shards)) {}
 
-    /// Coordinator-only: parks a join that becomes visible at `visible_ms`.
+    /// Serial-only: parks a join that becomes visible at `visible_ms`.
     void enqueue(std::uint32_t visible_ms, std::uint32_t peer);
-    /// Coordinator-only, at window start: publishes every parked join
+    /// Serial-only, at window start: publishes every parked join
     /// visible at or before `through` into the flushed prefix. O(1) when
     /// nothing is due — the cached minimum visibility tick short-circuits
     /// the call — and O(joins due) otherwise, never O(population).
@@ -353,7 +350,12 @@ class ShardedSystem {
     /// the flush fast path is one compare against this.
     std::uint32_t next_visible_ = kNeverVisible;
     std::uint64_t flushes_ = 0;
-    std::vector<std::size_t> cursors_;
+    /// One cursor per shard, each on its own cache line: every shard's
+    /// worker advances its own during a window.
+    struct alignas(64) Cursor {
+      std::size_t index = 0;
+    };
+    std::vector<Cursor> cursors_;
   };
 
   struct Shard;  // defined in the .cpp (holds Simulator + lazy sources)
@@ -373,7 +375,7 @@ class ShardedSystem {
   void finish_session(Shard& shard, const SessionEnd& end);
   void make_supplier(Shard& shard, std::uint32_t local);
   void take_sample(Shard& shard, util::SimTime t);
-  /// Coordinator-only, at a window barrier when a snapshot is due: writes
+  /// Serial-only, at a window barrier when a snapshot is due: writes
   /// every per-shard registry lane from the shard fields the engine
   /// already maintains (zero hot-path cost; docs/observability.md).
   void publish_telemetry(util::SimTime now);
@@ -428,11 +430,15 @@ class ShardedSystem {
   Router router_;
   Directory directory_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  /// Joins produced during the current window, one row per shard, moved
-  /// into the directory at the barrier by the coordinator. (All selection
-  /// and sampling scratch lives inside each Shard — shards are
-  /// thread-confined during windows.)
-  std::vector<std::vector<Directory::Join>> join_buffers_;
+  /// Joins produced during the current window, one row per shard (padded
+  /// to a cache line: each shard's worker appends to its own), moved into
+  /// the directory in the serial barrier step. (All selection and
+  /// sampling scratch lives inside each Shard — one thread at a time runs
+  /// a shard.)
+  struct alignas(64) JoinBuffer {
+    std::vector<Directory::Join> joins;
+  };
+  std::vector<JoinBuffer> join_buffers_;
   std::int64_t total_peers_ = 0;
   bool ran_ = false;
   /// Telemetry wiring (registry handles + profiler), allocated in run()

@@ -18,13 +18,21 @@
 //     with seq a per-*sender* counter. Every component of that key is a
 //     property of the traffic itself, never of the partitioning — unlike
 //     arrival order into the batch (local sends append at send time,
-//     remote sends at the next barrier), which is why the batch is sorted
-//     rather than drained FIFO. Merged output is therefore byte-identical
-//     for any shard count.
-//   * Windowed exchange. Cross-shard envelopes accumulate in per-(source,
-//     destination) outboxes during a window and move to the destination's
-//     delivery groups at the barrier, by the coordinator, while workers
-//     are parked — the only moment an envelope crosses a thread boundary.
+//     remote sends at the destination's next pull), which is why the
+//     batch is sorted rather than drained FIFO. Merged output is
+//     therefore byte-identical for any shard count.
+//   * Destination pull. Cross-shard envelopes accumulate in per-(source,
+//     destination) outbox rows during a window. The rows are double-
+//     buffered by window parity: while window k writes one set, each
+//     destination shard pulls its own rows of the other set (written in
+//     window k-1) on the thread about to step it — so the exchange is
+//     parallel and off the serial barrier step. A destination pulls its
+//     sources in ascending order, which is exactly the per-destination
+//     enqueue order a serial source-major sweep produces; delivery groups,
+//     drain events and pool traffic are therefore identical for any
+//     thread count. seal_window() flips the parity in the serial step, and
+//     earliest_sent() lets the next-window reduction see a window's
+//     earliest cross-shard delivery before anyone has pulled it.
 //
 // Steady state is allocation-free: delivery groups come off a free list
 // (entry vectors keep their capacity across reuse), outbox rows keep
@@ -36,14 +44,21 @@
 // uniquely. On a collision the ring doubles and every live group rehashes
 // — a handful of doublings early in a run, then never again.
 //
-// Thread-safety: during a window, shard s's engine may call send(s, ...)
-// from its own thread; that touches only shard s's outbox row and shard
-// s's own delivery groups (local sends). exchange() and bind() are
-// coordinator-only.
+// Thread-safety: during a window, the one thread running shard s may
+// call send(s, ...) and pull(s). Both touch only shard s's Port — its
+// write-parity outbox rows, its delivery groups and its counters — plus,
+// for pull, the sealed-parity rows addressed to s in every other Port,
+// which no one else touches until the next seal. Ports and outbox rows
+// are padded to cache lines so neighbouring shards never share one.
+// Counters live in the Ports and are summed on read. bind(),
+// seal_window(), exchange() and the counter reads are serial-only
+// (between windows).
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -87,7 +102,7 @@ class ShardRouter {
     P2PS_REQUIRE_MSG(window_ >= util::SimTime::millis(1),
                      "conservative lookahead must be at least one tick");
     for (Port& port : ports_) {
-      port.outbox.resize(static_cast<std::size_t>(num_shards_));
+      for (auto& rows : port.outbox) rows.resize(static_cast<std::size_t>(num_shards_));
       port.ring.assign(kInitialRingSlots, kNoGroup);
     }
   }
@@ -123,7 +138,8 @@ class ShardRouter {
   /// Sends one envelope from shard `from_shard` (which must own
   /// envelope.from and whose simulator's now() must equal sent_at).
   /// Local deliveries join the source shard's own groups immediately;
-  /// cross-shard deliveries park in the outbox until the next exchange().
+  /// cross-shard deliveries park in the current window's outbox row until
+  /// the destination pulls it (pull() after seal_window(), or exchange()).
   void send(int from_shard, Envelope envelope) {
     Port& source = port_at(from_shard);
     P2PS_REQUIRE_MSG(source.simulator != nullptr, "send before bind");
@@ -133,56 +149,82 @@ class ShardRouter {
                        std::uint64_t{envelope.sent_at} + window_ms_,
                    "lookahead violation: message latency below the shard "
                    "window width (see docs/sharding.md)");
-    ++sent_total_;
+    ++source.sent;
     const int to_shard = shard_of(std::uint64_t{envelope.to});
     if (to_shard == from_shard) {
       enqueue(source, std::move(envelope));
       return;
     }
-    ++cross_shard_total_;
-    auto& batch = source.outbox[static_cast<std::size_t>(to_shard)];
-    if (batch.empty()) source.dirty_rows.push_back(to_shard);
-    batch.push_back(std::move(envelope));
+    ++source.cross_shard;
+    std::uint32_t& earliest = source.earliest[parity_];
+    earliest = std::min(earliest, envelope.deliver_at);
+    source.outbox[parity_][static_cast<std::size_t>(to_shard)].envelopes.push_back(
+        std::move(envelope));
   }
 
-  /// Barrier step (coordinator-only, workers parked): moves every outbox
-  /// batch into its destination shard's delivery groups. Every
-  /// destination simulator must already sit at the barrier tick, which the
-  /// lookahead guarantees is strictly before any batched delivery.
-  ///
-  /// Cost is O(rows actually written this window), not O(shards^2): each
-  /// source port tracks which destination rows it touched (thread-confined
-  /// — only the source's own worker appends), and the dirty list is sorted
-  /// ascending here so batches move in exactly the (source, destination)
-  /// order the full scan used.
+  /// Serial step after every shard finished a window: the outbox rows
+  /// written in it become the rows destinations pull before the next
+  /// window, and the rows pulled during it (empty again) take the next
+  /// window's sends.
+  void seal_window() { parity_ ^= 1; }
+
+  /// Earliest deliver_at among the cross-shard envelopes shard `source`
+  /// sent since its last pull() (or the last exchange()); nullopt when it
+  /// sent none. Read by the thread that just stepped `source`: none of
+  /// these envelopes sits in a destination simulator yet, so the
+  /// next-window reduction needs this next to every simulator's next
+  /// event.
+  [[nodiscard]] std::optional<util::SimTime> earliest_sent(int source) const {
+    const std::uint32_t earliest = port_at(source).earliest[parity_];
+    if (earliest == kNoTick) return std::nullopt;
+    return util::SimTime::millis(earliest);
+  }
+
+  /// Opens shard `shard`'s window: moves the sealed window's envelopes
+  /// addressed to it into its delivery groups, in ascending source order,
+  /// and resets its earliest_sent(). Runs on the thread about to step
+  /// the shard; its simulator must sit at the previous window end, which
+  /// the lookahead puts strictly before every pulled delivery.
+  void pull(int shard) {
+    Port& destination = port_at(shard);
+    destination.earliest[parity_] = kNoTick;
+    const auto column = static_cast<std::size_t>(shard);
+    const std::size_t sealed = parity_ ^ 1;
+    for (Port& source : ports_) pull_row(source.outbox[sealed][column], destination);
+  }
+
+  /// Serial: pulls every destination now, from both outbox sets (sealed
+  /// first, then the current one), so every envelope sent so far sits in
+  /// its destination's delivery groups. Every destination simulator must
+  /// already sit at or past the last send tick, which the lookahead
+  /// guarantees is strictly before any batched delivery. Per destination
+  /// the order is the same as pull()'s: ascending source.
   void exchange() {
-    for (Port& source : ports_) {
-      if (source.dirty_rows.empty()) continue;
-      std::sort(source.dirty_rows.begin(), source.dirty_rows.end());
-      for (const int to_shard : source.dirty_rows) {
-        auto& batch = source.outbox[static_cast<std::size_t>(to_shard)];
-        Port& destination = port_at(to_shard);
-        for (Envelope& envelope : batch) {
-          P2PS_CHECK_MSG(static_cast<std::int64_t>(envelope.deliver_at) >
-                             destination.simulator->now().as_millis(),
-                         "cross-shard envelope due before the barrier tick");
-          enqueue(destination, std::move(envelope));
+    for (int shard = 0; shard < num_shards_; ++shard) {
+      Port& destination = port_at(shard);
+      for (const std::size_t parity : {parity_ ^ 1, parity_}) {
+        for (Port& source : ports_) {
+          pull_row(source.outbox[parity][static_cast<std::size_t>(shard)],
+                   destination);
         }
-        batch.clear();  // capacity kept — the outbox row is pooled
       }
-      source.dirty_rows.clear();
     }
+    for (Port& port : ports_) port.earliest = {kNoTick, kNoTick};
   }
 
   /// Total envelopes accepted / envelopes that crossed a shard boundary.
-  [[nodiscard]] std::uint64_t sent_total() const { return sent_total_; }
-  [[nodiscard]] std::uint64_t cross_shard_total() const { return cross_shard_total_; }
+  [[nodiscard]] std::uint64_t sent_total() const { return sum(&Port::sent); }
+  [[nodiscard]] std::uint64_t cross_shard_total() const {
+    return sum(&Port::cross_shard);
+  }
 
   /// Delivery-group pool traffic: groups constructed fresh vs recycled off
   /// a free list (entry capacity kept). A healthy steady state reuses far
   /// more than it allocates.
-  [[nodiscard]] std::uint64_t pool_allocations() const { return pool_allocations_; }
-  [[nodiscard]] std::uint64_t pool_reuses() const { return pool_reuses_; }
+  [[nodiscard]] std::uint64_t pool_allocations() const {
+    return sum(&Port::pool_allocations);
+  }
+  [[nodiscard]] std::uint64_t pool_reuses() const { return sum(&Port::pool_reuses); }
 
   /// Delivery groups currently pending on one shard (tests/diagnostics).
   [[nodiscard]] std::size_t pending_groups(int shard) const {
@@ -201,15 +243,28 @@ class ShardRouter {
     std::uint32_t next_free = kNoGroup;
   };
 
-  struct Port {
-    sim::Simulator* simulator = nullptr;
+  /// One (source, destination) outbox row. Padded: destinations clear
+  /// their rows of one source concurrently.
+  struct alignas(64) OutboxRow {
+    std::vector<Envelope> envelopes;
+  };
+
+  /// Everything one shard owns, padded so no two shards share a line.
+  struct alignas(64) Port {
+    /// Pending cross-shard envelopes by window parity, one row per
+    /// destination shard. The only Port member other shards' workers read
+    /// (when they pull), so it keeps its cache line to itself.
+    std::array<std::vector<OutboxRow>, 2> outbox;
+    /// Everything below is touched by this shard's worker alone.
+    alignas(64) sim::Simulator* simulator = nullptr;
     Handler on_deliver = nullptr;
     void* context = nullptr;
-    /// Pending cross-shard envelopes, one row per destination shard.
-    std::vector<std::vector<Envelope>> outbox;
-    /// Destination shards with a non-empty outbox row (each appears once:
-    /// rows register when they go non-empty, deregister at exchange).
-    std::vector<int> dirty_rows;
+    /// Earliest deliver_at in each parity's rows (kNoTick when empty).
+    std::array<std::uint32_t, 2> earliest{kNoTick, kNoTick};
+    std::uint64_t sent = 0;         ///< envelopes this shard sent
+    std::uint64_t cross_shard = 0;  ///< ...of which crossed a boundary
+    std::uint64_t pool_allocations = 0;
+    std::uint64_t pool_reuses = 0;
     /// Open-addressed tick -> group index: slot = tick mod ring size
     /// (power of two). Uniqueness holds because live ticks span less than
     /// the ring size (see file header); a collision doubles the ring.
@@ -223,6 +278,7 @@ class ShardRouter {
   };
 
   static constexpr std::uint32_t kNoGroup = 0xFFFFFFFFu;
+  static constexpr std::uint32_t kNoTick = 0xFFFFFFFFu;
   static constexpr std::size_t kInitialRingSlots = 64;
 
   Port& port_at(int shard) {
@@ -232,6 +288,25 @@ class ShardRouter {
   const Port& port_at(int shard) const {
     P2PS_REQUIRE(shard >= 0 && shard < num_shards_);
     return ports_[static_cast<std::size_t>(shard)];
+  }
+
+  [[nodiscard]] std::uint64_t sum(std::uint64_t Port::*counter) const {
+    std::uint64_t total = 0;
+    for (const Port& port : ports_) total += port.*counter;
+    return total;
+  }
+
+  /// Moves one outbox row into `destination`'s delivery groups, in send
+  /// order, and clears it (capacity kept — the row is pooled).
+  void pull_row(OutboxRow& row, Port& destination) {
+    if (row.envelopes.empty()) return;
+    for (Envelope& envelope : row.envelopes) {
+      P2PS_CHECK_MSG(static_cast<std::int64_t>(envelope.deliver_at) >
+                         destination.simulator->now().as_millis(),
+                     "cross-shard envelope due before the barrier tick");
+      enqueue(destination, std::move(envelope));
+    }
+    row.envelopes.clear();
   }
 
   [[nodiscard]] static std::size_t slot_of(const Port& port, std::int64_t tick_ms) {
@@ -288,12 +363,12 @@ class ShardRouter {
     if (port.free_head != kNoGroup) {
       index = port.free_head;
       port.free_head = port.groups[index].next_free;
-      ++pool_reuses_;
+      ++port.pool_reuses;
     } else {
       P2PS_CHECK_MSG(port.groups.size() < kNoGroup, "delivery group pool exhausted");
       port.groups.emplace_back();
       index = static_cast<std::uint32_t>(port.groups.size() - 1);
-      ++pool_allocations_;
+      ++port.pool_allocations;
     }
     port.groups[index].tick_ms = tick_ms;
     return index;
@@ -349,10 +424,7 @@ class ShardRouter {
   util::SimTime window_;
   std::uint64_t window_ms_;
   std::vector<Port> ports_;
-  std::uint64_t sent_total_ = 0;
-  std::uint64_t cross_shard_total_ = 0;
-  std::uint64_t pool_allocations_ = 0;
-  std::uint64_t pool_reuses_ = 0;
+  std::size_t parity_ = 0;  ///< outbox set written this window; serial writes only
 };
 
 }  // namespace p2ps::net

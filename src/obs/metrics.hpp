@@ -15,8 +15,8 @@
 // Sharded engines use LANES: lane s is shard s's private cell of the same
 // named metric. During a lookahead window each shard worker touches only
 // its own lane (thread-confined, plain int64 writes — no atomics); the
-// coordinator aggregates across lanes at window barriers, where the
-// runner's std::barrier already provides the happens-before edge. That is
+// serial barrier step aggregates across lanes, where the runner's barrier
+// already provides the happens-before edge. That is
 // the "lock-free at window barriers" contract: no synchronization beyond
 // what the sharded runner does anyway.
 #pragma once
@@ -75,8 +75,8 @@ enum class Aggregation : std::uint8_t { kSum, kMax };
 class Registry {
  public:
   /// Registers (or re-finds) a metric and returns the stable handle for
-  /// `lane`. Registration is coordinator-side (engine construction or
-  /// barrier code), never inside a shard window; kind/bounds mismatches
+  /// `lane`. Registration is serial (engine construction or barrier
+  /// code), never inside a shard window; kind/bounds mismatches
   /// with an existing name throw ContractViolation.
   Counter* counter(std::string_view name, int lane = 0);
   Gauge* gauge(std::string_view name, int lane = 0,

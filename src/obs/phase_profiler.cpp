@@ -68,9 +68,11 @@ PhaseProfiler::PhaseProfiler(int num_shards)
 }
 
 std::uint64_t PhaseProfiler::phase_ns(Phase phase) const {
-  if (phase == Phase::kStep) {
+  if (phase == Phase::kStep || phase == Phase::kRouteDrain) {
     std::uint64_t total = 0;
-    for (const Cell& cell : shard_step_) total += cell.ns;
+    for (const Cell& cell : shard_step_) {
+      total += phase == Phase::kStep ? cell.ns : cell.drain_ns;
+    }
     return total;
   }
   return phase_ns_[static_cast<std::size_t>(phase)];

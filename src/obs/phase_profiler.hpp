@@ -1,21 +1,22 @@
 // Wall-clock phase profiler for the sharded lookahead-window runner.
 //
-// Each lookahead window splits into phases: every shard STEPs its events
-// to the window end (the only parallel part), then the coordinator drains
-// cross-shard ROUTEs and runs the BARRIER bookkeeping (directory flush,
-// telemetry poll); at end of run the per-shard results MERGE. Timing each
-// phase — and the step time per shard — is the first real data for the
-// ROADMAP's "wall-clock scaling on a multi-core host" follow-on: the
-// imbalance ratio (max/mean shard busy time) bounds the speedup the
-// barrier design can reach on any core count.
+// Each sub-window splits into disjoint phases. On the thread running it,
+// every shard first ROUTE-DRAINs (pulls the cross-shard envelopes sent to
+// it in the previous sub-window) and then STEPs its events to the window
+// end; the worker that finishes the last shard runs the serial BARRIER
+// step (router seal, directory publish, next-window reduction, telemetry
+// poll); at end of run the per-shard results MERGE. The imbalance ratio
+// (max/mean shard step time) bounds the speedup the barrier design can
+// reach on any core count.
 //
-// Threading: add_shard_step(s, ·) is called only by shard s's owning
-// worker (thread-confined; cells are cache-line padded so neighbouring
-// shards don't false-share), coordinator phases only by the coordinator,
-// and reads happen at barriers or after the run — the runner's own
-// std::barrier provides every needed happens-before edge, so cells are
-// plain integers. Note route-drain and telemetry time are part of the
-// barrier callback, so barrier_ns includes route_drain_ns.
+// Threading: add_shard_step(s, ·) and add_shard_drain(s, ·) are called
+// only by the thread running shard s in that sub-window (cells are
+// cache-line padded so neighbouring shards don't false-share), add() only
+// by the serial step or after the run, and reads happen in the serial
+// step or after the run — the runner's barrier provides every needed
+// happens-before edge, so cells are plain integers. Time a worker spends
+// waiting at the barrier lies in no phase, so for any shard s,
+// step(s) + drain(s) + barrier + merge never exceeds the run's wall clock.
 #pragma once
 
 #include <array>
@@ -43,16 +44,20 @@ class PhaseProfiler {
   /// is the profiler's dominant overhead. Portable fallback elsewhere.
   [[nodiscard]] static std::uint64_t now_ns();
 
-  /// Shard s's worker accumulates its own window step time.
+  /// The thread running shard s accumulates its window step time.
   void add_shard_step(int shard, std::uint64_t ns) {
     shard_step_[static_cast<std::size_t>(shard)].ns += ns;
   }
-  /// Coordinator-only phase accumulation (route drain, barrier, merge).
+  /// The thread running shard s accumulates its inbound-pull time.
+  void add_shard_drain(int shard, std::uint64_t ns) {
+    shard_step_[static_cast<std::size_t>(shard)].drain_ns += ns;
+  }
+  /// Serial phase accumulation (barrier, merge).
   void add(Phase phase, std::uint64_t ns) {
     phase_ns_[static_cast<std::size_t>(phase)] += ns;
   }
 
-  /// Coordinator-only: one runner dispatch covering `sub_windows` unit
+  /// Serial step only: one runner dispatch covering `sub_windows` unit
   /// lookahead windows (>= 1). Splits the window population into unit
   /// dispatches (no fusion happened) and fused dispatches — the
   /// fused-vs-unit breakdown the telemetry phases record reports.
@@ -82,8 +87,12 @@ class PhaseProfiler {
   [[nodiscard]] std::uint64_t shard_step_ns(int shard) const {
     return shard_step_[static_cast<std::size_t>(shard)].ns;
   }
-  /// Phase::kStep reports the SUM of per-shard step time (total busy
-  /// work); the wall-clock step time of a window is its max, not its sum.
+  [[nodiscard]] std::uint64_t shard_drain_ns(int shard) const {
+    return shard_step_[static_cast<std::size_t>(shard)].drain_ns;
+  }
+  /// Phase::kStep and Phase::kRouteDrain report the SUM of the per-shard
+  /// cells (total busy work); a window's wall-clock share is the max over
+  /// workers, not the sum.
   [[nodiscard]] std::uint64_t phase_ns(Phase phase) const;
 
   /// max/mean per-shard step (busy) time: 1.0 = perfectly balanced, N for
@@ -92,7 +101,8 @@ class PhaseProfiler {
 
  private:
   struct alignas(64) Cell {  // one cache line per shard: no false sharing
-    std::uint64_t ns = 0;
+    std::uint64_t ns = 0;        ///< step time
+    std::uint64_t drain_ns = 0;  ///< inbound-pull time
   };
   std::vector<Cell> shard_step_;
   std::array<std::uint64_t, kNumPhases> phase_ns_{};
@@ -101,8 +111,9 @@ class PhaseProfiler {
   std::uint64_t fused_sub_windows_ = 0;
 };
 
-/// RAII interval: adds the elapsed time to a profiler phase (or a shard's
-/// step cell) on destruction; no-op when the profiler is null.
+/// RAII interval: adds the elapsed time to a profiler phase (or, with a
+/// shard, to that shard's step or route-drain cell) on destruction; no-op
+/// when the profiler is null.
 class ScopedPhase {
  public:
   ScopedPhase(PhaseProfiler* profiler, Phase phase, int shard = -1)
@@ -113,7 +124,9 @@ class ScopedPhase {
   ~ScopedPhase() {
     if (profiler_ == nullptr) return;
     const std::uint64_t elapsed = PhaseProfiler::now_ns() - start_ns_;
-    if (shard_ >= 0) {
+    if (shard_ >= 0 && phase_ == Phase::kRouteDrain) {
+      profiler_->add_shard_drain(shard_, elapsed);
+    } else if (shard_ >= 0) {
       profiler_->add_shard_step(shard_, elapsed);
     } else {
       profiler_->add(phase_, elapsed);

@@ -12,36 +12,35 @@
 // is *inclusive* of its bound, and a message sent at the earliest possible
 // tick min_next arrives no sooner than min_next + lookahead — strictly
 // after t1 — so no envelope produced inside a window can be due inside it,
-// and the barrier exchange (net/shard_router.hpp) always schedules into
-// every destination shard's strict future. docs/sharding.md carries the
-// full argument.
+// and the next window's inbound pull (net/shard_router.hpp) always
+// schedules into every destination shard's strict future.
+// docs/sharding.md carries the full argument.
 //
 // Idle windows are skipped entirely (min_next jumps the window forward),
 // so sparse phases cost one barrier per event cluster, not one per tick.
 //
-// Window fusion (`fusion > 1`): up to `fusion` consecutive unit windows
-// execute inside one dispatch of the runner's outer loop. Each sub-window
-// still recomputes min_next, applies the idle skip, and passes through
-// at_window_start / run_to / at_barrier exactly as an unfused window
-// would — the executed sub-window sequence is IDENTICAL for every fusion
-// factor, so payloads are byte-identical by construction and only the
-// dispatch accounting (windows() vs windows_fused()) changes. What fusion
-// buys is the per-dispatch fixed cost: one outer-loop iteration, one
-// profiler dispatch record, and (on a worker pool) fewer full wake/park
-// cycles per unit of simulated time. docs/sharding.md, "Adaptive
-// lookahead", carries the safety argument: any window of width <=
-// lookahead is safe regardless of alignment, and after each barrier the
-// global state is consistent, so re-deriving the next sub-window end from
-// fresh next-event times is exactly the unfused computation.
+// Window fusion (`fusion > 1`) is dispatch accounting only: consecutive
+// sub-windows are grouped into dispatches of up to `fusion`, which
+// windows() / windows_fused() report. Every sub-window still recomputes
+// min_next, applies the idle skip and passes through at_window_start /
+// pull / run_to / at_barrier, so the executed sequence is identical for
+// every fusion factor.
 //
-// Threading: `threads == 1` runs shards round-robin on the caller's
-// thread; `threads > 1` parks a persistent worker pool on a std::barrier
-// and hands each worker a fixed stripe of shards. Either way the schedule
-// of (window, shard) work is identical, shards are thread-confined during
-// windows, and the barrier callback runs on the coordinator alone — so
-// output is byte-identical for any thread count, and the thread knob only
-// changes wall-clock (the --sweep precedent; the build container has
-// nproc=1, so speedups are conditioned on core count).
+// Threading: `threads` workers (clamped to [1, num_shards]); the calling
+// thread is worker 0, and the others are started by run(), never by the
+// constructor. A sub-window costs ONE crossing of a spin-then-park
+// barrier whose parties are the shards: a worker claims a shard, pulls and
+// steps it, and marks it finished; whoever finishes the last shard runs
+// the serial step (at_barrier, the next-window reduction over the
+// per-shard next-event times recorded after each step, at_window_start)
+// and opens the next sub-window. Each worker claims its own stripe
+// {w, w + T, w + 2T, ...} first and then any shard still unclaimed, so a
+// worker the host has descheduled does not stall the others. `threads ==
+// 1` runs the same loop alone. The (sub-window, shard) schedule is
+// identical for every thread count, a shard is run by one thread at a time
+// with barrier ordering between sub-windows, and serial callbacks run
+// only while no shard is running — so output is byte-identical for any
+// thread count and the thread knob only changes wall-clock.
 #pragma once
 
 #include <cstdint>
@@ -59,51 +58,61 @@ namespace p2ps::sim {
 class ShardRunner {
  public:
   struct Callbacks {
-    /// Earliest pending event time on shard `s` (coordinator thread).
+    /// Earliest pending event time on shard `s`, including anything the
+    /// shard has sent that will become an event elsewhere before the next
+    /// window's pull. Called once per shard before the first window, then
+    /// by the thread running shard `s` right after each of its run_to
+    /// calls; the serial step reduces these answers, so at_barrier and
+    /// at_window_start must not change them.
     std::function<std::optional<util::SimTime>(int shard)> next_event_time;
-    /// Optional coordinator-only hook before each window's shards run,
-    /// with the window's end tick: publish state that must be visible to
-    /// every shard during the window (e.g. directory joins whose
-    /// visibility tick falls inside it).
+    /// Optional serial hook before each window's shards run, with the
+    /// window's end tick: publish state that must be visible to every
+    /// shard during the window (e.g. directory joins whose visibility
+    /// tick falls inside it).
     std::function<void(util::SimTime window_end)> at_window_start;
-    /// Runs shard `s` to `t` inclusive (run_until semantics); the only
-    /// callback invoked off the coordinator thread, one shard per worker
-    /// at a time.
+    /// Optional per-shard hook, run by the thread running shard `s` right
+    /// before its run_to in every sub-window: pull the envelopes other
+    /// shards sent it during the previous sub-window (ShardRouter::pull).
+    std::function<void(int shard)> pull;
+    /// Runs shard `s` to `t` inclusive (run_until semantics). Any worker
+    /// may run a given shard, but only one at a time.
     std::function<void(int shard, util::SimTime t)> run_to;
-    /// Barrier step at `window_end`, coordinator-only, after every shard
-    /// reached window_end: exchange envelopes, publish directory joins.
+    /// Serial step at `window_end`, after every shard reached window_end
+    /// and before any shard runs again: seal the router's window, publish
+    /// directory joins, poll telemetry. Must not schedule shard events.
     std::function<void(util::SimTime window_end)> at_barrier;
 
     /// Optional wall-clock phase profiler (obs/phase_profiler.hpp): when
-    /// set, the runner times each shard's run_to into the shard's step
-    /// cell (worker-side, thread-confined) and the at_barrier callback
-    /// into the barrier phase. Pure observation — the (window, shard)
-    /// schedule is identical with or without it.
+    /// set, the runner times each shard's pull into the shard's route-drain
+    /// cell and its run_to into the shard's step cell (written only by the
+    /// thread running the shard), and the whole serial step into the
+    /// barrier phase. Pure observation — the (window, shard) schedule is
+    /// identical with or without it.
     obs::PhaseProfiler* profiler = nullptr;
   };
 
   /// `lookahead` must be >= 1 ms (the tick granularity); `threads` is
   /// clamped to [1, num_shards]; `fusion` >= 1 is the maximum number of
-  /// unit sub-windows executed per dispatch (1 = classic unfused runner).
+  /// sub-windows counted per dispatch (1 = one dispatch per sub-window).
   ShardRunner(int num_shards, util::SimTime lookahead, int threads = 1,
               int fusion = 1);
 
   /// Steps every shard to `horizon` (inclusive, run_until semantics),
-  /// calling at_barrier after each window. May be called once.
+  /// calling at_barrier after each window. May be called once. An
+  /// exception from any callback stops every worker at the next barrier
+  /// and is rethrown here.
   void run(util::SimTime horizon, const Callbacks& callbacks);
 
-  /// Dispatches executed by run() — outer-loop iterations, each covering
-  /// 1..fusion unit sub-windows. With fusion == 1 this equals the number
-  /// of barriers passed (the classic window count).
+  /// Dispatches counted by run(), each covering 1..fusion sub-windows.
+  /// With fusion == 1 this equals the number of barriers passed.
   [[nodiscard]] std::int64_t windows() const { return windows_; }
 
-  /// Unit sub-windows absorbed into a prior dispatch beyond its first —
-  /// i.e. sub_windows() - windows(). Zero when fusion == 1.
+  /// Sub-windows grouped into a prior dispatch beyond its first — i.e.
+  /// sub_windows() - windows(). Zero when fusion == 1.
   [[nodiscard]] std::int64_t windows_fused() const { return windows_fused_; }
 
-  /// Total unit sub-windows executed (= barriers passed), independent of
-  /// the fusion factor — the invariant "how many times did every shard
-  /// sync" count that byte-parity across fusion modes rests on.
+  /// Total sub-windows executed (= barriers passed), independent of the
+  /// fusion factor.
   [[nodiscard]] std::int64_t sub_windows() const {
     return windows_ + windows_fused_;
   }

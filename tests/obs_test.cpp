@@ -516,22 +516,59 @@ TEST(ShardedTelemetry, ResultIsIdenticalWithTelemetryOnOrOff) {
 
 // Acceptance criterion: a seeded admission-rate collapse (every message
 // dropped, so nobody is ever admitted) aborts the run under --watchdog
-// abort, surfacing as WatchdogAbort from run().
+// abort, surfacing as WatchdogAbort from run(). With two threads the
+// abort is thrown by whichever worker runs the serial barrier step, and
+// must still surface on the caller.
 TEST(ShardedTelemetry, WatchdogAbortsOnSeededAdmissionCollapse) {
-  obs::TelemetryOptions options;
-  options.path = temp_path("obs_sharded_abort.jsonl");
-  options.interval_ms = 0;
-  options.heartbeat = false;
-  options.watchdog.action = obs::WatchdogAction::kAbort;
-  options.watchdog.min_interval_attempts = 1;
-  obs::Telemetry telemetry(std::move(options));
-  ASSERT_TRUE(telemetry.ok());
-  auto config = small_sharded_config(2);
-  config.loss = 1.0;  // drop everything: attempts happen, admissions never
-  config.telemetry = &telemetry;
-  engine::ShardedSystem system(std::move(config));
-  EXPECT_THROW(system.run(), obs::WatchdogAbort);
-  EXPECT_GT(telemetry.watchdog().trips(), 0);
+  for (const int threads : {1, 2}) {
+    obs::TelemetryOptions options;
+    options.path = temp_path("obs_sharded_abort.jsonl");
+    options.interval_ms = 0;
+    options.heartbeat = false;
+    options.watchdog.action = obs::WatchdogAction::kAbort;
+    options.watchdog.min_interval_attempts = 1;
+    obs::Telemetry telemetry(std::move(options));
+    ASSERT_TRUE(telemetry.ok());
+    auto config = small_sharded_config(2, threads);
+    config.loss = 1.0;  // drop everything: attempts happen, admissions never
+    config.telemetry = &telemetry;
+    engine::ShardedSystem system(std::move(config));
+    EXPECT_THROW(system.run(), obs::WatchdogAbort) << threads << " threads";
+    EXPECT_GT(telemetry.watchdog().trips(), 0) << threads << " threads";
+  }
+}
+
+// The profiled phases are disjoint: a shard's route drain and step end
+// before its sub-window's serial (barrier) step starts, the serial step
+// ends before any shard runs again, and the merge follows the run. So for
+// every shard, drain + step + barrier + merge fits inside run()'s wall
+// clock.
+TEST(ShardedTelemetry, PhasesAreDisjointWithinTheRunWallClock) {
+  for (const int threads : {1, 2, 4}) {
+    obs::TelemetryOptions options;
+    options.path = temp_path("obs_sharded_phases.jsonl");
+    options.heartbeat = false;
+    obs::Telemetry telemetry(std::move(options));
+    ASSERT_TRUE(telemetry.ok());
+    auto config = small_sharded_config(4, threads);
+    config.telemetry = &telemetry;
+    engine::ShardedSystem system(std::move(config));
+    const std::uint64_t start = obs::PhaseProfiler::now_ns();
+    system.run();
+    const std::uint64_t wall = obs::PhaseProfiler::now_ns() - start;
+    const obs::PhaseProfiler* profiler = telemetry.profiler();
+    ASSERT_NE(profiler, nullptr);
+    EXPECT_GT(profiler->phase_ns(obs::Phase::kRouteDrain), 0u);
+    const std::uint64_t serial = profiler->phase_ns(obs::Phase::kBarrier) +
+                                 profiler->phase_ns(obs::Phase::kMerge);
+    for (int shard = 0; shard < 4; ++shard) {
+      EXPECT_GT(profiler->shard_step_ns(shard), 0u);
+      EXPECT_LE(profiler->shard_step_ns(shard) +
+                    profiler->shard_drain_ns(shard) + serial,
+                wall)
+          << "shard " << shard << ", " << threads << " threads";
+    }
+  }
 }
 
 // Satellite: the per-shard trace rings merge into one canonical stream —

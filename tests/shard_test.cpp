@@ -7,10 +7,14 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -258,22 +262,65 @@ TEST(ShardRouter, RejectsSendsFromAShardThatDoesNotOwnTheSender) {
   EXPECT_THROW(router.send(0, std::move(envelope)), util::ContractViolation);
 }
 
+/// What the runner did while driving a router: the window end passed to
+/// every at_window_start and at_barrier call, its counters, and whether a
+/// serial callback ever ran while a shard was mid-pull or mid-step.
+struct DriveLog {
+  std::vector<std::int64_t> window_starts;
+  std::vector<std::int64_t> barriers;
+  std::int64_t windows = 0;
+  std::int64_t windows_fused = 0;
+  std::int64_t sub_windows = 0;
+  bool serial_overlapped_a_shard = false;
+};
+
 /// Drives `num_shards` simulators through the ShardRunner with the given
-/// router and horizon — the exact coordinator wiring the ShardedSystem
-/// uses, minus the engine.
-void drive(std::vector<std::unique_ptr<sim::Simulator>>& simulators,
-           IntRouter& router, SimTime horizon, int threads = 1) {
-  sim::ShardRunner runner(router.num_shards(), router.window(), threads);
+/// router and horizon — the exact window wiring the ShardedSystem uses,
+/// minus the engine: each shard pulls right before it steps, the serial
+/// step seals the window, and a shard's next event counts what it sent.
+DriveLog drive(std::vector<std::unique_ptr<sim::Simulator>>& simulators,
+               IntRouter& router, SimTime horizon, int threads = 1,
+               int fusion = 1) {
+  sim::ShardRunner runner(router.num_shards(), router.window(), threads, fusion);
+  DriveLog log;
+  // Shards currently inside pull or run_to; the serial callbacks must
+  // only ever see zero.
+  std::atomic<int> in_flight{0};
+  const auto check_serial = [&] {
+    if (in_flight.load() != 0) log.serial_overlapped_a_shard = true;
+  };
   sim::ShardRunner::Callbacks callbacks;
   callbacks.next_event_time = [&](int shard) {
-    return simulators[static_cast<std::size_t>(shard)]->next_event_time();
+    auto next = simulators[static_cast<std::size_t>(shard)]->next_event_time();
+    const auto sent = router.earliest_sent(shard);
+    if (sent && (!next || *sent < *next)) next = sent;
+    return next;
   };
-  callbacks.at_window_start = [](SimTime) {};
+  callbacks.at_window_start = [&](SimTime t) {
+    check_serial();
+    log.window_starts.push_back(t.as_millis());
+  };
+  callbacks.pull = [&](int shard) {
+    ++in_flight;
+    router.pull(shard);
+    --in_flight;
+  };
   callbacks.run_to = [&](int shard, SimTime t) {
+    ++in_flight;
     simulators[static_cast<std::size_t>(shard)]->run_until(t);
+    if (threads > 1) std::this_thread::yield();  // widen the step
+    --in_flight;
   };
-  callbacks.at_barrier = [&](SimTime) { router.exchange(); };
+  callbacks.at_barrier = [&](SimTime t) {
+    check_serial();
+    log.barriers.push_back(t.as_millis());
+    router.seal_window();
+  };
   runner.run(horizon, callbacks);
+  log.windows = runner.windows();
+  log.windows_fused = runner.windows_fused();
+  log.sub_windows = runner.sub_windows();
+  return log;
 }
 
 // The window-boundary tie: a local envelope (enqueued at send time) and a
@@ -327,7 +374,8 @@ constexpr std::int64_t kCascadeWindowMs = 5;
 /// its hop budget runs out. Destinations and latencies are hashed from
 /// (sender, seq), so the per-destination delivery log is the partition-
 /// independent ground truth.
-std::array<std::vector<Delivery>, kCascadePeers> run_cascade(int num_shards) {
+std::array<std::vector<Delivery>, kCascadePeers> run_cascade(
+    int num_shards, int threads = 1, int fusion = 1, DriveLog* log = nullptr) {
   std::vector<std::unique_ptr<sim::Simulator>> simulators;
   for (int s = 0; s < num_shards; ++s) {
     simulators.push_back(std::make_unique<sim::Simulator>());
@@ -373,7 +421,9 @@ std::array<std::vector<Delivery>, kCascadePeers> run_cascade(int num_shards) {
         SimTime::millis(1 + static_cast<std::int64_t>(peer % 3)),
         [&, shard, peer] { send_from(shard, peer, /*hops=*/3); });
   }
-  drive(simulators, router, SimTime::millis(400));
+  const DriveLog driven =
+      drive(simulators, router, SimTime::millis(400), threads, fusion);
+  if (log != nullptr) *log = driven;
   return logs;
 }
 
@@ -430,6 +480,127 @@ TEST(ShardRouter, TickRingGrowsToSpanLiveTicksAndRecyclesGroups) {
   EXPECT_EQ(router.ring_slots(0), 256u);
   simulator.run_until(SimTime::millis(300));
   EXPECT_EQ(delivered, 191 + 91);
+}
+
+// ---- destination pull vs serial exchange: randomized differential ----
+
+/// One delivery in a shard's execution order: (tick, from, to, sent_at,
+/// seq).
+using ShardDelivery = std::tuple<std::int64_t, std::uint32_t, std::uint32_t,
+                                 std::uint32_t, std::uint32_t>;
+
+struct ExchangeRun {
+  std::vector<std::vector<ShardDelivery>> per_shard;
+  std::uint64_t cross_shard = 0;
+  std::uint64_t pool_allocations = 0;
+  std::uint64_t pool_reuses = 0;
+  std::size_t max_ring_slots = 0;
+  /// (shard, tick) batches that held both a local and a remote envelope.
+  int mixed_ticks = 0;
+};
+
+/// Random cascading traffic through fixed windows of the lookahead width.
+/// With `pull`, every destination pulls its own rows before it steps and
+/// each window ends with seal_window(); otherwise every window ends with
+/// the serial exchange(). Latencies cluster on a few ticks (so local and
+/// remote envelopes share delivery ticks) with a long tail (so the tick
+/// ring has to grow).
+ExchangeRun run_exchange_traffic(int num_shards, bool pull, std::uint64_t seed) {
+  constexpr std::uint32_t kPeers = 29;
+  constexpr std::int64_t kWindowMs = 4;
+  std::vector<std::unique_ptr<sim::Simulator>> simulators;
+  for (int s = 0; s < num_shards; ++s) {
+    simulators.push_back(std::make_unique<sim::Simulator>());
+  }
+  IntRouter router(num_shards, SimTime::millis(kWindowMs));
+  std::array<std::uint32_t, kPeers> send_seq{};
+  ExchangeRun run;
+  run.per_shard.resize(static_cast<std::size_t>(num_shards));
+  // (shard, tick) -> bit 0: local envelope seen, bit 1: remote seen.
+  std::map<std::pair<int, std::int64_t>, int> tick_sources;
+
+  const auto send_from = [&](int shard, std::uint32_t from, int hops) {
+    const std::uint32_t seq = send_seq[from]++;
+    const std::uint64_t hash = mix(seed * 7'777'777 + from * 1'000'003 + seq);
+    IntRouter::Envelope envelope;
+    envelope.from = from;
+    envelope.to = static_cast<std::uint32_t>(hash % kPeers);
+    envelope.sent_at = static_cast<std::uint32_t>(
+        simulators[static_cast<std::size_t>(shard)]->now().as_millis());
+    const std::uint64_t spread = (hash >> 16) % 8 == 0 ? 250 : 3;
+    envelope.deliver_at = envelope.sent_at +
+                          static_cast<std::uint32_t>(kWindowMs) +
+                          static_cast<std::uint32_t>((hash >> 24) % spread);
+    envelope.seq = seq;
+    envelope.payload = hops;
+    router.send(shard, std::move(envelope));
+  };
+  std::vector<TestHandler> handlers(static_cast<std::size_t>(num_shards));
+  for (int s = 0; s < num_shards; ++s) {
+    handlers[static_cast<std::size_t>(s)] = [&, s](const IntRouter::Envelope& e) {
+      const std::int64_t now = simulators[static_cast<std::size_t>(s)]->now().as_millis();
+      run.per_shard[static_cast<std::size_t>(s)].emplace_back(now, e.from, e.to,
+                                                              e.sent_at, e.seq);
+      const bool local = router.shard_of(std::uint64_t{e.from}) == s;
+      tick_sources[{s, now}] |= local ? 1 : 2;
+      if (e.payload > 0) send_from(s, e.to, e.payload - 1);
+    };
+    bind_fn(router, s, *simulators[static_cast<std::size_t>(s)],
+            &handlers[static_cast<std::size_t>(s)]);
+  }
+  for (std::uint32_t peer = 0; peer < kPeers; ++peer) {
+    const int shard = router.shard_of(std::uint64_t{peer});
+    for (int burst = 0; burst < 6; ++burst) {
+      simulators[static_cast<std::size_t>(shard)]->schedule_at(
+          SimTime::millis(1 + (peer + static_cast<std::uint32_t>(burst)) % kWindowMs),
+          [&, shard, peer] { send_from(shard, peer, /*hops=*/4); });
+    }
+  }
+  for (std::int64_t end = kWindowMs; end <= 2000; end += kWindowMs) {
+    for (int s = 0; s < num_shards; ++s) {
+      if (pull) router.pull(s);
+      simulators[static_cast<std::size_t>(s)]->run_until(SimTime::millis(end));
+    }
+    if (pull) {
+      router.seal_window();
+    } else {
+      router.exchange();
+    }
+  }
+  for (const auto& [key, sources] : tick_sources) {
+    if (sources == 3) ++run.mixed_ticks;
+  }
+  run.cross_shard = router.cross_shard_total();
+  run.pool_allocations = router.pool_allocations();
+  run.pool_reuses = router.pool_reuses();
+  for (int s = 0; s < num_shards; ++s) {
+    run.max_ring_slots = std::max(run.max_ring_slots, router.ring_slots(s));
+  }
+  return run;
+}
+
+// Destination pull must hand every shard exactly the enqueue sequence the
+// serial exchange produces: same deliveries in the same execution order,
+// same pool traffic — including same-tick local/remote mixes and ticks
+// that force the ring to grow.
+TEST(ShardRouter, DestinationPullMatchesTheSerialExchangeDifferentially) {
+  for (const int num_shards : {2, 3, 5}) {
+    for (const std::uint64_t seed : {1u, 2u, 3u}) {
+      const ExchangeRun serial = run_exchange_traffic(num_shards, false, seed);
+      const ExchangeRun pulled = run_exchange_traffic(num_shards, true, seed);
+      std::size_t delivered = 0;
+      for (const auto& log : serial.per_shard) delivered += log.size();
+      EXPECT_EQ(delivered, 29u * 6u * 5u);  // peers x bursts x (hops + 1)
+      EXPECT_GT(serial.mixed_ticks, 0);          // same-tick local + remote
+      EXPECT_GT(serial.max_ring_slots, 64u);     // the tick ring grew
+      EXPECT_EQ(pulled.per_shard, serial.per_shard)
+          << num_shards << " shards, seed " << seed;
+      EXPECT_EQ(pulled.cross_shard, serial.cross_shard);
+      EXPECT_EQ(pulled.pool_allocations, serial.pool_allocations);
+      EXPECT_EQ(pulled.pool_reuses, serial.pool_reuses);
+      EXPECT_EQ(pulled.max_ring_slots, serial.max_ring_slots);
+    }
+  }
 }
 
 // ---------- ShardRunner ----------
@@ -508,6 +679,98 @@ TEST(ShardRunner, FusionAbsorbsSubWindowsWithoutChangingTheEventSequence) {
   EXPECT_EQ(fused_fused, 6);
   EXPECT_EQ(fused_subs, 8);
   EXPECT_DOUBLE_EQ(fused_avg, unit_avg);
+}
+
+// The runner's schedule is a function of the traffic alone: for every
+// thread count and fusion factor it passes the same window ends, calls
+// at_barrier exactly once per sub-window (with at_window_start announcing
+// each of those ends first), and never runs a serial callback while any
+// shard is pulling or stepping.
+TEST(ShardRunner, WindowSequenceIsIdenticalForAnyThreadCountAndFusion) {
+  DriveLog reference;
+  const auto reference_logs = run_cascade(4, 1, 1, &reference);
+  EXPECT_GT(reference.sub_windows, 10);
+  for (const int fusion : {1, 32}) {
+    for (int threads = 1; threads <= 4; ++threads) {
+      DriveLog log;
+      const auto logs = run_cascade(4, threads, fusion, &log);
+      EXPECT_EQ(logs, reference_logs) << threads << " threads, fusion " << fusion;
+      EXPECT_EQ(log.barriers, reference.barriers)
+          << threads << " threads, fusion " << fusion;
+      EXPECT_EQ(log.window_starts, log.barriers);
+      EXPECT_EQ(static_cast<std::int64_t>(log.barriers.size()), log.sub_windows);
+      EXPECT_EQ(log.windows + log.windows_fused, log.sub_windows);
+      if (fusion == 1) {
+        EXPECT_EQ(log.windows, log.sub_windows);
+      }
+      EXPECT_FALSE(log.serial_overlapped_a_shard)
+          << threads << " threads, fusion " << fusion;
+    }
+  }
+}
+
+// A worker that is busy elsewhere does not hold its other shards hostage:
+// with 3 shards on 2 workers the caller (worker 0) owns shards 0 and 2,
+// and while shard 0 sleeps through a few windows the helper, done with
+// shard 1, runs shard 2 — with the same window sequence as one thread.
+TEST(ShardRunner, IdleWorkersRunTheShardsOfABusyOne) {
+  const auto run = [](int threads, std::vector<std::int64_t>* barriers) {
+    sim::ShardRunner runner(3, SimTime::millis(10), threads);
+    std::array<std::int64_t, 3> clocks{};
+    const std::thread::id caller = std::this_thread::get_id();
+    std::atomic<bool> shard2_left_its_home{false};
+    sim::ShardRunner::Callbacks callbacks;
+    callbacks.next_event_time = [&](int shard) {
+      return std::optional<SimTime>(
+          SimTime::millis(clocks[static_cast<std::size_t>(shard)] + 1));
+    };
+    callbacks.run_to = [&](int shard, SimTime t) {
+      if (shard == 0 && t <= SimTime::millis(50)) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      }
+      if (shard == 2 && std::this_thread::get_id() != caller) {
+        shard2_left_its_home = true;
+      }
+      clocks[static_cast<std::size_t>(shard)] = t.as_millis();
+    };
+    callbacks.at_barrier = [&](SimTime t) { barriers->push_back(t.as_millis()); };
+    runner.run(SimTime::millis(100), callbacks);
+    return shard2_left_its_home.load();
+  };
+  std::vector<std::int64_t> serial;
+  std::vector<std::int64_t> threaded;
+  EXPECT_FALSE(run(1, &serial));
+  EXPECT_TRUE(run(2, &threaded));
+  EXPECT_EQ(threaded, serial);
+}
+
+// A callback failure on any worker stops the run at the next barrier and
+// resurfaces on the calling thread.
+TEST(ShardRunner, RethrowsAWorkerFailureOnTheCaller) {
+  for (int threads = 1; threads <= 3; ++threads) {
+    sim::ShardRunner runner(3, SimTime::millis(10), threads);
+    std::array<std::int64_t, 3> clocks{};
+    int barriers = 0;
+    sim::ShardRunner::Callbacks callbacks;
+    // Every shard always has an event 1 ms after its clock: windows end at
+    // 10, 20, 30, ... and shard 2 fails in the third.
+    callbacks.next_event_time = [&](int shard) {
+      return std::optional<SimTime>(
+          SimTime::millis(clocks[static_cast<std::size_t>(shard)] + 1));
+    };
+    callbacks.run_to = [&](int shard, SimTime t) {
+      if (shard == 2 && t >= SimTime::millis(30)) {
+        throw util::ContractViolation("shard 2 failed");
+      }
+      clocks[static_cast<std::size_t>(shard)] = t.as_millis();
+    };
+    callbacks.at_barrier = [&](SimTime) { ++barriers; };
+    EXPECT_THROW(runner.run(SimTime::millis(100), callbacks),
+                 util::ContractViolation)
+        << threads << " threads";
+    // The failed window never reaches its serial step.
+    EXPECT_EQ(barriers, 2) << threads << " threads";
+  }
 }
 
 TEST(ShardRunner, RejectsANonPositiveFusionFactor) {
@@ -638,6 +901,41 @@ TEST(ShardedSystem, ResultIsIdenticalForAnyThreadCount) {
   engine::ShardedSystem serial(small_sharded_config(4, /*threads=*/1));
   engine::ShardedSystem pooled(small_sharded_config(4, /*threads=*/3));
   EXPECT_EQ(fingerprint(serial.run()), fingerprint(pooled.run()));
+}
+
+/// Every mechanics field of a ShardedResult except peak_rss_bytes, which
+/// measures the process rather than the run.
+std::string mechanics_fingerprint(const engine::ShardedResult& result) {
+  std::ostringstream os;
+  os << result.cross_shard_messages << '|' << result.pool_allocations << '|'
+     << result.pool_reuses << '|' << result.windows << '|'
+     << result.windows_fused << '|' << result.windows_idle_skipped << '|'
+     << result.directory_flushes << '|' << result.lookahead_avg_ms << '|';
+  for (const engine::ShardMechanics& shard : result.per_shard) {
+    os << shard.events_executed << ',' << shard.peak_event_list << ','
+       << shard.messages_sent << ';';
+  }
+  return os.str();
+}
+
+// For a fixed shard count the mechanics counters are a property of the
+// run, not of the thread schedule: shared router counters that workers
+// raced on would show up here as drift.
+TEST(ShardedSystem, MechanicsAreIdenticalForAnyThreadCount) {
+  const auto config = [](int threads) {
+    auto config = small_sharded_config(4, threads);
+    config.population.requesters = 4000;
+    return config;
+  };
+  engine::ShardedSystem serial(config(1));
+  const engine::ShardedResult reference = serial.run();
+  EXPECT_GT(reference.cross_shard_messages, 10'000u);
+  for (const int threads : {2, 4}) {
+    engine::ShardedSystem threaded(config(threads));
+    EXPECT_EQ(mechanics_fingerprint(threaded.run()),
+              mechanics_fingerprint(reference))
+        << threads << " threads";
+  }
 }
 
 TEST(ShardedSystem, ResultIsIdenticalAcrossEventListBackends) {

@@ -7,6 +7,7 @@
 #include <string>
 
 #include "core/selection_policy.hpp"
+#include "golden_hash.hpp"
 #include "scenario/json.hpp"
 #include "scenario/scenario.hpp"
 #include "sim/event_list.hpp"
@@ -279,6 +280,33 @@ TEST(RunScenario, DifferentSeedsChangeSimulationOutput) {
     return text.substr(text.find("\"results\""));
   };
   EXPECT_NE(payload(run_a), payload(run_b));
+}
+
+// ---------- golden output pins ----------
+
+// Full-payload hashes of the two single-process engines, captured before
+// the supplier state became a plain value and before StreamingSystem and
+// AsyncStreamingSystem moved onto engine::RetryHeap. fig7_adaptivity pins
+// the probability-vector dynamics, ablation_reminder the reminder rule
+// (on and off), perf_steady the session-level engine's mechanics counters
+// and msg_flash_crowd the message-level engine with loss. Any drift means
+// a representation change altered simulated behaviour.
+TEST(GoldenOutput, SingleProcessEnginesMatchTheirPinnedPayloads) {
+  struct Pin {
+    const char* name;
+    std::int64_t scale;
+    std::uint64_t hash;
+  };
+  for (const Pin& pin : {Pin{"fig7_adaptivity", 1, 0xd9dba489f5ec6a79ull},
+                         Pin{"ablation_reminder", 4, 0xe7bb91d7ad7d7933ull},
+                         Pin{"perf_steady", 10, 0xaabc134fdd4227e8ull},
+                         Pin{"msg_flash_crowd", 10, 0xef774e6c440470e2ull}}) {
+    ScenarioOptions options;
+    options.seed = 2002;
+    options.scale = pin.scale;
+    EXPECT_EQ(fnv1a(run_scenario(pin.name, options).dump()), pin.hash)
+        << pin.name << " --scale " << pin.scale;
+  }
 }
 
 }  // namespace

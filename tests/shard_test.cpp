@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "core/ids.hpp"
+#include "golden_hash.hpp"
 #include "engine/retry_heap.hpp"
 #include "engine/retry_source.hpp"
 #include "engine/session_end_calendar.hpp"
@@ -1051,17 +1052,6 @@ TEST(ShardedScenarios, MechanicsBlockAppearsOnlyBehindTheFlag) {
 }
 
 // ---------- golden output pins ----------
-
-/// FNV-1a over the full scenario payload dump — one 64-bit fingerprint
-/// per pinned workload.
-std::uint64_t fnv1a(const std::string& text) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (const unsigned char c : text) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
 
 // Full-payload hashes captured from the engine BEFORE the compact
 // peer-state rewrite (hot/cold SoA split, lazy RNG hydration, RetryHeap,

@@ -8,8 +8,7 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
-#include <vector>
+#include <type_traits>
 
 #include "core/admission/probability_vector.hpp"
 #include "core/peer_class.hpp"
@@ -68,11 +67,10 @@ class SupplierAdmission {
   /// no-op in NDAC mode. Requires !busy().
   void on_idle_timeout();
 
-  /// Reminders collected during the current session (visible for tests and
-  /// the adaptivity metrics).
-  [[nodiscard]] const std::vector<PeerClass>& pending_reminders() const {
-    return reminders_;
-  }
+  /// The highest class (smallest index) that left a reminder during the
+  /// current session, or 0 when none did. on_session_end reads only this
+  /// minimum, so it is all the reminder state a supplier keeps.
+  [[nodiscard]] PeerClass highest_pending_reminder() const { return highest_reminder_; }
 
   /// True if a favored-class request arrived during the current session.
   [[nodiscard]] bool favored_request_seen() const { return favored_request_seen_; }
@@ -82,8 +80,11 @@ class SupplierAdmission {
   bool differentiated_;
   bool busy_ = false;
   bool favored_request_seen_ = false;
-  std::vector<PeerClass> reminders_;
+  PeerClass highest_reminder_ = 0;  // 0: no reminder this session
   AdmissionProbabilityVector vector_;
 };
+
+static_assert(std::is_trivially_copyable_v<SupplierAdmission>,
+              "supplier state is a plain value with no heap storage");
 
 }  // namespace p2ps::core

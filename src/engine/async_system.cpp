@@ -16,7 +16,8 @@ AsyncStreamingSystem::AsyncStreamingSystem(AsyncSimulationConfig config)
       transport_(simulator_, config_.transport,
                  util::Rng(config_.seed).substream("transport")),
       metrics_(config_.protocol.num_classes),
-      retries_(simulator_, [this](core::PeerId id) { start_attempt(id); }),
+      retries_(simulator_, config_.horizon,
+               [this](std::uint32_t index) { start_attempt(core::PeerId{index}); }),
       session_ends_(simulator_, [this](SessionEnd&& end) {
         finish_session(end.requester, std::move(end.suppliers), end.session);
       }) {
@@ -25,6 +26,9 @@ AsyncStreamingSystem::AsyncStreamingSystem(AsyncSimulationConfig config)
   P2PS_REQUIRE(config_.protocol.m_candidates > 0);
   P2PS_REQUIRE(config_.arrival_window > util::SimTime::zero());
   P2PS_REQUIRE(config_.horizon >= config_.arrival_window);
+  P2PS_REQUIRE_MSG(config_.population.seeds + config_.population.requesters <
+                       std::int64_t{0xFFFFFFFFll},
+                   "the retry heap stores peer indexes as 32 bits");
   P2PS_REQUIRE(config_.session_duration > util::SimTime::zero());
   P2PS_REQUIRE_MSG(config_.hold_timeout > config_.response_timeout,
                    "holds must outlive the requester's response timeout, or "
@@ -170,7 +174,7 @@ void AsyncStreamingSystem::on_attempt_done(
   }
 
   metrics_.on_rejection(p.cls);
-  retries_.schedule(p.backoff->on_rejected(), id);
+  retries_.schedule(p.backoff->on_rejected(), static_cast<std::uint32_t>(id.value()));
 }
 
 void AsyncStreamingSystem::finish_session(core::PeerId requester_id,

@@ -27,7 +27,7 @@
 #include "core/ids.hpp"
 #include "engine/config.hpp"
 #include "engine/result.hpp"
-#include "engine/retry_source.hpp"
+#include "engine/retry_heap.hpp"
 #include "engine/session_end_calendar.hpp"
 #include "lookup/directory.hpp"
 #include "metrics/collector.hpp"
@@ -140,8 +140,8 @@ class AsyncStreamingSystem {
   std::vector<core::PeerId> retired_;
   sim::EventId retire_event_ = sim::EventId::invalid();
   /// Lazy backoff retries: one in-flight event for the whole waiting
-  /// population (the session-level engine's RetrySource trick).
-  RetrySource retries_;
+  /// population, keyed by peer index (engine/retry_heap.hpp).
+  RetryHeap retries_;
   /// One pending finish for every admitted session (constant duration =>
   /// monotone end ticks => FIFO calendar): the session-end population that
   /// used to cost one event per active session costs one event total

@@ -1,24 +1,34 @@
-// Compact per-shard backoff-retry heap — RetrySource shrunk for the
-// 10M-peer memory campaign.
+// Lazy backoff-retry heap — the ArrivalSource trick applied to the
+// rejection/backoff stream, and the only retry source: the session-level,
+// message-level and sharded engines all park their waiting peers here.
 //
-// engine/retry_source.hpp keeps {SimTime due, u64 seq, PeerId} entries —
-// 24 bytes per waiting peer, plus entries for retries whose exponential
-// backoff saturated past the horizon and which therefore can never fire.
-// At 10M peers the waiting population is the dominant cold-state term, so
-// this variant stores {u32 due_ms, u32 seq, u32 local} — 12 bytes — and
-// drops beyond-horizon retries at schedule() time instead of parking them
-// forever. Both compactions are byte-invisible:
-//   * u32 millisecond deadlines are validated by the engine config
-//     (ShardedConfig::validate bounds every schedulable tick below 2^32 ms
-//     ≈ 49.7 days);
+// Every rejected requester waits out a backoff before its next attempt.
+// Parking one simulator event per waiting peer would make the event list
+// O(waiting population) — tens of thousands mid-ramp at paper scale. This
+// heap keeps the due retries in an engine-local min-heap ordered by (due,
+// insertion seq) and exposes them to the simulator through a single
+// in-flight event, so the event list carries O(1) entries for the whole
+// waiting population.
+//
+// Ordering: among retries, (due, seq) reproduces the simulator's own
+// (time, FIFO) semantics exactly — seq is assigned at schedule() time just
+// as the simulator assigns event seqs at schedule_after() time. Relative to
+// *other* same-millisecond events the in-flight event's seq is its own
+// (docs/lazy_arrivals.md); it is backend-independent, so heap/calendar
+// byte-parity holds by construction.
+//
+// Entries are {u32 due_ms, u32 seq, u32 local} — 12 bytes per waiting peer
+// — and retries due strictly after the horizon are dropped at schedule()
+// time instead of being parked forever. Both compactions are
+// byte-invisible:
+//   * u32 millisecond deadlines: the constructor requires the horizon to
+//     fit (below 2^32 ms ≈ 49.7 days), and every kept entry is due by it;
+//     `local` is the caller's peer index, which each engine bounds below
+//     2^32 when it validates its config;
 //   * a beyond-horizon retry's armed event would never execute, and
 //     skipping its schedule_at only skips simulator event seqs — the
 //     relative order of all surviving events is unchanged, which is the
 //     only thing (time, FIFO-by-seq) draining depends on.
-//
-// The simulator interaction protocol is a field-for-field mirror of
-// RetrySource (one in-flight event, arm-only-on-new-top, re-arm before
-// invoke); tests/shard_test.cpp runs the two differentially.
 #pragma once
 
 #include <algorithm>
@@ -37,8 +47,8 @@ class RetryHeap {
  public:
   using OnDue = std::function<void(std::uint32_t)>;
 
-  /// One pending entry: 12 bytes vs RetrySource's 24 (the static_assert
-  /// below is part of the memory-campaign contract).
+  /// One pending entry: 12 bytes (the static_assert below is part of the
+  /// memory-campaign contract, docs/memory.md).
   struct Entry {
     std::uint32_t due_ms = 0;
     std::uint32_t seq = 0;  // FIFO tie-break, mirroring simulator seqs
@@ -54,7 +64,9 @@ class RetryHeap {
         horizon_ms_(horizon.as_millis()),
         on_due_(std::move(on_due)) {
     P2PS_REQUIRE(on_due_ != nullptr);
-    P2PS_REQUIRE(horizon_ms_ >= 0);
+    P2PS_REQUIRE_MSG(horizon_ms_ >= 0 && horizon_ms_ < 0xFFFFFFFFll,
+                     "retry deadlines are 32-bit milliseconds: the horizon "
+                     "must be below 2^32 ms (~49.7 days)");
   }
 
   ~RetryHeap() {
@@ -87,14 +99,14 @@ class RetryHeap {
   }
 
  private:
-  // Flat 8-ary min-heap on (due_ms, seq), replacing std::priority_queue's
+  // Flat 8-ary min-heap on (due_ms, seq) rather than std::priority_queue's
   // binary layout. Under admission collapse the waiting population — and
-  // so this heap — reaches hundreds of thousands of entries per shard, and
-  // every retry pays one sift-down; a binary sift touches ~log2(N) ≈ 17
+  // so this heap — reaches hundreds of thousands of entries, and every
+  // retry pays one sift-down; a binary sift touches ~log2(N) ≈ 17
   // scattered cache lines where the 8-ary tree touches ~6 levels whose 8
   // children (96 bytes) sit in two adjacent lines. Pop order is the exact
-  // (due, seq) order the binary heap produced, so the change is
-  // byte-invisible (seq is unique — the order is total).
+  // (due, seq) order any min-heap yields (seq is unique — the order is
+  // total), so the layout is byte-invisible.
   [[nodiscard]] static std::uint64_t key(const Entry& e) {
     return (static_cast<std::uint64_t>(e.due_ms) << 32) | e.seq;
   }

@@ -6,7 +6,7 @@
 // a deque of (end tick, payload) with ONE simulator event armed at the
 // front tick. However many sessions are active, the event list carries one
 // entry for all of them (the ROADMAP session-end-calendar residual; the
-// same shape as engine/retry_source.hpp and engine/arrival_source.hpp).
+// same shape as engine/retry_heap.hpp and engine/arrival_source.hpp).
 //
 // Ordering semantics (the part that keeps byte-determinism):
 //   * the in-flight event is always armed at the earliest pending end tick,

@@ -31,7 +31,8 @@ StreamingSystem::StreamingSystem(SimulationConfig config)
     : config_(std::move(config)),
       simulator_(config_.event_list),
       timers_(simulator_, config_.timers),
-      retries_(simulator_, [this](core::PeerId id) { attempt_admission(id); }),
+      retries_(simulator_, config_.horizon,
+               [this](std::uint32_t index) { attempt_admission(core::PeerId{index}); }),
       lookup_(make_lookup(config_.lookup)),
       metrics_(config_.protocol.num_classes) {
   workload::validate(config_.population);
@@ -41,6 +42,9 @@ StreamingSystem::StreamingSystem(SimulationConfig config)
   P2PS_REQUIRE(config_.protocol.e_bkf >= 1);
   P2PS_REQUIRE(config_.arrival_window > util::SimTime::zero());
   P2PS_REQUIRE(config_.horizon >= config_.arrival_window);
+  P2PS_REQUIRE_MSG(config_.population.seeds + config_.population.requesters <
+                       std::int64_t{0xFFFFFFFFll},
+                   "the retry heap stores peer indexes as 32 bits");
   P2PS_REQUIRE(config_.session_duration > util::SimTime::zero());
   P2PS_REQUIRE(config_.peer_down_probability >= 0.0 &&
                config_.peer_down_probability < 1.0);
@@ -328,7 +332,7 @@ void StreamingSystem::attempt_admission(core::PeerId id) {
     reminders_left = static_cast<std::int64_t>(omega.size());
   }
   trace_event(TraceKind::kRejection, p, core::SessionId::invalid(), reminders_left);
-  retries_.schedule(p.backoff->on_rejected(), p.id);
+  retries_.schedule(p.backoff->on_rejected(), static_cast<std::uint32_t>(p.id.value()));
 }
 
 void StreamingSystem::end_session(core::SessionId id) {

@@ -21,7 +21,7 @@
 #include "core/selection.hpp"
 #include "engine/config.hpp"
 #include "engine/result.hpp"
-#include "engine/retry_source.hpp"
+#include "engine/retry_heap.hpp"
 #include "engine/trace.hpp"
 #include "lookup/lookup_service.hpp"
 #include "metrics/collector.hpp"
@@ -127,10 +127,11 @@ class StreamingSystem {
   /// deadline checks). Every event handler polls it on entry, which is
   /// what keeps the strategies byte-interchangeable (docs/timers.md).
   sim::TimerService timers_;
-  /// Backoff retries of waiting peers, exposed to the simulator as one
-  /// in-flight event (keeps the event list O(active sessions + timers)
-  /// instead of O(waiting population); see engine/retry_source.hpp).
-  RetrySource retries_;
+  /// Backoff retries of waiting peers, keyed by peer index and exposed to
+  /// the simulator as one in-flight event (keeps the event list O(active
+  /// sessions + timers) instead of O(waiting population); see
+  /// engine/retry_heap.hpp).
+  RetryHeap retries_;
   std::unique_ptr<lookup::LookupService> lookup_;
   std::unique_ptr<TraceLog> trace_;
   metrics::MetricsCollector metrics_;

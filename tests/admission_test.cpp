@@ -168,8 +168,10 @@ TEST(SupplierAdmission, ReminderTightensToHighestReminderClass) {
   s.on_session_start();
   (void)s.handle_probe(3, rng);  // favored request while busy
   s.leave_reminder(3);
+  EXPECT_EQ(s.highest_pending_reminder(), 3);
   (void)s.handle_probe(2, rng);
   s.leave_reminder(2);
+  EXPECT_EQ(s.highest_pending_reminder(), 2);
   s.on_session_end();
   // k̂ = 2 (highest class among reminders): profile of a class-2 peer.
   EXPECT_EQ(s.vector(), AdmissionProbabilityVector(4, 2));
@@ -192,7 +194,7 @@ TEST(SupplierAdmission, RemindersClearedBetweenSessions) {
   (void)s.handle_probe(1, rng);
   s.leave_reminder(1);
   s.on_session_end();
-  EXPECT_TRUE(s.pending_reminders().empty());
+  EXPECT_EQ(s.highest_pending_reminder(), 0);
   // Next quiet session relaxes from the tightened profile.
   s.on_session_start();
   s.on_session_end();
@@ -215,6 +217,7 @@ TEST(SupplierAdmission, NdacModeNeverAdaptsAndAlwaysGrantsWhenIdle) {
   s.on_session_start();
   (void)s.handle_probe(1, rng);
   s.leave_reminder(1);  // ignored in NDAC mode
+  EXPECT_EQ(s.highest_pending_reminder(), 0);
   s.on_session_end();
   EXPECT_TRUE(s.vector().fully_relaxed());
   s.on_idle_timeout();  // no-op

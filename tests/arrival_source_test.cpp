@@ -1,15 +1,19 @@
-// Tests for the lazy, self-rescheduling arrival source and the
-// peak-event-list contraction it exists to deliver.
+// Tests for the lazy, self-rescheduling arrival source, the retry heap that
+// applies the same trick to the backoff stream, and the peak-event-list
+// contraction they exist to deliver.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "engine/arrival_source.hpp"
 #include "engine/config.hpp"
-#include "engine/retry_source.hpp"
+#include "engine/async_system.hpp"
+#include "engine/retry_heap.hpp"
 #include "engine/streaming_system.hpp"
 #include "sim/simulator.hpp"
+#include "util/assert.hpp"
 #include "util/sim_time.hpp"
 #include "workload/arrival_pattern.hpp"
 
@@ -114,52 +118,76 @@ TEST(ArrivalSource, SameTimestampArrivalsFireBackToBack) {
                                       "handler-continuation"}));
 }
 
-// ---------- RetrySource (the backoff stream's single in-flight event) ----
+// ---------- RetryHeap (the backoff stream's single in-flight event) ----
 
-TEST(RetrySource, FiresInDueOrderWithFifoTies) {
+TEST(RetryHeap, FiresInDueOrderWithFifoTies) {
   sim::Simulator simulator;
-  std::vector<std::uint64_t> order;
-  RetrySource retries(simulator,
-                      [&](core::PeerId id) { order.push_back(id.value()); });
-  retries.schedule(SimTime::seconds(30), core::PeerId{3});
-  retries.schedule(SimTime::seconds(10), core::PeerId{1});
-  retries.schedule(SimTime::seconds(10), core::PeerId{2});  // FIFO on tie
-  retries.schedule(SimTime::seconds(20), core::PeerId{0});
+  std::vector<std::uint32_t> order;
+  RetryHeap retries(simulator, SimTime::hours(1),
+                    [&](std::uint32_t peer) { order.push_back(peer); });
+  retries.schedule(SimTime::seconds(30), 3);
+  retries.schedule(SimTime::seconds(10), 1);
+  retries.schedule(SimTime::seconds(10), 2);  // FIFO on tie
+  retries.schedule(SimTime::seconds(20), 0);
   EXPECT_EQ(retries.waiting(), 4u);
   // The whole waiting population costs one pending simulator event.
   EXPECT_EQ(simulator.pending_count(), 1u);
   simulator.run();
-  EXPECT_EQ(order, (std::vector<std::uint64_t>{1, 2, 0, 3}));
+  EXPECT_EQ(order, (std::vector<std::uint32_t>{1, 2, 0, 3}));
   EXPECT_EQ(retries.waiting(), 0u);
   EXPECT_EQ(simulator.peak_pending_count(), 1u);
 }
 
-TEST(RetrySource, EarlierInsertionPreemptsTheInFlightEvent) {
+TEST(RetryHeap, EarlierInsertionPreemptsTheInFlightEvent) {
   sim::Simulator simulator;
-  std::vector<std::uint64_t> order;
-  RetrySource retries(simulator,
-                      [&](core::PeerId id) { order.push_back(id.value()); });
-  retries.schedule(SimTime::seconds(100), core::PeerId{9});
-  retries.schedule(SimTime::seconds(5), core::PeerId{1});  // preempts
+  std::vector<std::pair<SimTime, std::uint32_t>> fired;
+  RetryHeap retries(simulator, SimTime::hours(1), [&](std::uint32_t peer) {
+    fired.emplace_back(simulator.now(), peer);
+  });
+  retries.schedule(SimTime::seconds(100), 9);
+  retries.schedule(SimTime::seconds(5), 1);  // preempts
+  EXPECT_EQ(simulator.pending_count(), 1u);
   simulator.run();
-  EXPECT_EQ(order, (std::vector<std::uint64_t>{1, 9}));
+  EXPECT_EQ(fired, (std::vector<std::pair<SimTime, std::uint32_t>>{
+                       {SimTime::seconds(5), 1}, {SimTime::seconds(100), 9}}));
 }
 
-TEST(RetrySource, HandlerMayScheduleFurtherRetries) {
+TEST(RetryHeap, HandlerMayScheduleFurtherRetries) {
   // The engine's actual shape: a due retry that fails re-enters the queue
   // with a longer backoff.
   sim::Simulator simulator;
   int fires = 0;
-  RetrySource* source = nullptr;
-  RetrySource retries(simulator, [&](core::PeerId id) {
-    if (++fires < 4) source->schedule(SimTime::minutes(10 * fires), id);
+  RetryHeap* source = nullptr;
+  RetryHeap retries(simulator, SimTime::hours(2), [&](std::uint32_t peer) {
+    if (++fires < 4) source->schedule(SimTime::minutes(10 * fires), peer);
   });
   source = &retries;
-  retries.schedule(SimTime::minutes(1), core::PeerId{7});
+  retries.schedule(SimTime::minutes(1), 7);
   simulator.run();
   EXPECT_EQ(fires, 4);
   EXPECT_EQ(retries.waiting(), 0u);
   EXPECT_EQ(simulator.peak_pending_count(), 1u);
+}
+
+// Both single-process engines key their retries by 32-bit millisecond
+// deadlines, so a horizon of 2^32 ms (~49.7 days) or more is rejected when
+// the engine is built, not discovered mid-run.
+TEST(RetryHeap, SingleProcessEnginesRejectA50DayHorizon) {
+  SimulationConfig session;
+  session.population.seeds = 4;
+  session.population.requesters = 100;
+  session.horizon = SimTime::hours(49 * 24);
+  EXPECT_NO_THROW(StreamingSystem{session});
+  session.horizon = SimTime::hours(50 * 24);
+  EXPECT_THROW(StreamingSystem{session}, util::ContractViolation);
+
+  AsyncSimulationConfig message;
+  message.population.seeds = 4;
+  message.population.requesters = 100;
+  message.horizon = SimTime::hours(49 * 24);
+  EXPECT_NO_THROW(AsyncStreamingSystem{message});
+  message.horizon = SimTime::hours(50 * 24);
+  EXPECT_THROW(AsyncStreamingSystem{message}, util::ContractViolation);
 }
 
 // ---------- the engine-level contraction ----------

@@ -10,8 +10,10 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
+#include <queue>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -22,7 +24,6 @@
 #include "core/ids.hpp"
 #include "golden_hash.hpp"
 #include "engine/retry_heap.hpp"
-#include "engine/retry_source.hpp"
 #include "engine/session_end_calendar.hpp"
 #include "engine/sharded_system.hpp"
 #include "net/latency.hpp"
@@ -146,38 +147,38 @@ std::uint64_t mix(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
-// ---------- RetryHeap (the compact RetrySource) ----------
+// ---------- RetryHeap ----------
 
-// The compact heap must be a drop-in for RetrySource: identical firing
-// times and identical order under same-tick ties, driven by the same
-// pseudo-random retry traffic (including reentrant rescheduling from the
-// handler, the engine's actual usage pattern).
-TEST(RetryHeap, FiringLogMatchesRetrySourceDifferentially) {
+// Firing times and same-tick order must be exactly the (due, seq) order of
+// a plain binary priority queue, driven by the same pseudo-random retry
+// traffic (including reentrant rescheduling from the handler, the engines'
+// actual usage pattern). The model needs no simulator: with retries as the
+// only events, the clock is simply the due time of the entry just popped.
+TEST(RetryHeap, FiringLogMatchesAPriorityQueueModel) {
   constexpr std::uint32_t kPeers = 19;
   constexpr int kRounds = 5;
-  const auto delay_of = [](std::uint32_t peer, int round) {
-    return SimTime::millis(static_cast<std::int64_t>(
-        mix(peer * 7919u + static_cast<std::uint64_t>(round) * 104729u) % 50));
+  const auto delay_ms = [](std::uint32_t peer, int round) {
+    return static_cast<std::int64_t>(
+        mix(peer * 7919u + static_cast<std::uint64_t>(round) * 104729u) % 50);
   };
 
-  std::vector<std::pair<std::int64_t, std::uint32_t>> source_log;
+  std::vector<std::pair<std::int64_t, std::uint32_t>> model_log;
   {
-    sim::Simulator simulator;
+    using Entry = std::tuple<std::int64_t, std::uint64_t, std::uint32_t>;
+    std::priority_queue<Entry, std::vector<Entry>, std::greater<>> queue;
+    std::uint64_t seq = 0;
     std::array<int, kPeers> round{};
-    engine::RetrySource* self = nullptr;
-    engine::RetrySource source(simulator, [&](PeerId peer) {
-      const auto local = static_cast<std::uint32_t>(peer.value());
-      source_log.emplace_back(simulator.now().as_millis(), local);
-      if (++round[local] < kRounds) {
-        self->schedule(delay_of(local, round[local]), peer);
-      }
-    });
-    self = &source;
     for (std::uint32_t peer = 0; peer < kPeers; ++peer) {
-      source.schedule(delay_of(peer, 0), PeerId{peer});
+      queue.emplace(delay_ms(peer, 0), seq++, peer);
     }
-    simulator.run_until(SimTime::hours(1));
-    EXPECT_EQ(source.waiting(), 0u);
+    while (!queue.empty()) {
+      const auto [due, unused_seq, peer] = queue.top();
+      queue.pop();
+      model_log.emplace_back(due, peer);
+      if (++round[peer] < kRounds) {
+        queue.emplace(due + delay_ms(peer, round[peer]), seq++, peer);
+      }
+    }
   }
 
   std::vector<std::pair<std::int64_t, std::uint32_t>> heap_log;
@@ -190,13 +191,14 @@ TEST(RetryHeap, FiringLogMatchesRetrySourceDifferentially) {
                              heap_log.emplace_back(simulator.now().as_millis(),
                                                    local);
                              if (++round[local] < kRounds) {
-                               self->schedule(delay_of(local, round[local]),
-                                              local);
+                               self->schedule(
+                                   SimTime::millis(delay_ms(local, round[local])),
+                                   local);
                              }
                            });
     self = &heap;
     for (std::uint32_t peer = 0; peer < kPeers; ++peer) {
-      heap.schedule(delay_of(peer, 0), peer);
+      heap.schedule(SimTime::millis(delay_ms(peer, 0)), peer);
     }
     simulator.run_until(SimTime::hours(1));
     EXPECT_EQ(heap.waiting(), 0u);
@@ -204,7 +206,7 @@ TEST(RetryHeap, FiringLogMatchesRetrySourceDifferentially) {
   }
 
   EXPECT_EQ(heap_log.size(), kPeers * kRounds);
-  EXPECT_EQ(heap_log, source_log);
+  EXPECT_EQ(heap_log, model_log);
 }
 
 // A retry due past the horizon can never fire (the runner stops at the

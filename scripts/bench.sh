@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
-# Throughput + event-list benchmark: runs the `perf` scenario family — now
-# including the message-level `perf_messages` workload under all three
-# TimerService strategies — plus a fig5-scale parameter study in a Release
-# build and writes BENCH_<n>.json, one point on the repo's perf trajectory.
+# Throughput + event-list benchmark: runs the `perf` scenario family —
+# including the message-level `perf_messages` workload — plus a fig5-scale
+# parameter study in a Release build and writes BENCH_<n>.json, one point
+# on the repo's perf trajectory.
 #
 # Usage: scripts/bench.sh [build-dir] [out-file]
 #   P2PS_BENCH_SEED    seed for the perf runs          (default 2002)
@@ -47,11 +47,10 @@
 #                              (best-of-reps; the PR-2 headline comparison)
 #   peak_event_list            fig5-scale run: lazy peak vs the eager
 #                              baseline, now with the timer/non-timer split
-#   timers                     perf_messages under --timers events (the
-#                              PR-4 event-per-timer baseline) vs wheel vs
-#                              lazy: wall clock, events executed and the
-#                              peak event list each strategy leaves — what
-#                              the TimerService buys (docs/timers.md)
+#   messages                   perf_messages (the message-level engine on
+#                              the timer wheel and the batched mailbox):
+#                              wall clock, events executed, events/sec and
+#                              the peak event list with its timer share
 #   sweep                      8-point parameter study: serial vs
 #                              multi-threaded wall clock on this host
 #   cores                      detected cores (the >=3x sweep speedup
@@ -61,7 +60,7 @@
 #
 # Timing lives out here, not in the scenario JSON: scenario output must stay
 # byte-deterministic so the pre-timing runs below can verify the build
-# (determinism + backend parity + transport parity + thread-count parity)
+# (determinism + backend parity + thread-count parity)
 # before a number enters the trajectory.
 set -euo pipefail
 
@@ -148,61 +147,38 @@ eager_peak="$(grep -o '"first_requests":[0-9]*' "${tmp_dir}/fig5.json" \
     | cut -d: -f2 | sort -n | tail -1)"
 peak_reduction=$(( fig5_peak > 0 ? eager_peak / fig5_peak : 0 ))
 
-echo "==> message-level verify: msg_fig5_scale backend + transport + timer parity"
+echo "==> message-level verify: msg_fig5_scale backend parity"
 "${runner}" msg_fig5_scale --seed "${seed}" --scale "${scale}" --compact \
-    > "${tmp_dir}/msg.batched.json"
+    > "${tmp_dir}/msg.heap.json"
 "${runner}" msg_fig5_scale --seed "${seed}" --scale "${scale}" --compact \
     --event-list calendar > "${tmp_dir}/msg.calendar.json"
-cmp "${tmp_dir}/msg.batched.json" "${tmp_dir}/msg.calendar.json" || {
+cmp "${tmp_dir}/msg.heap.json" "${tmp_dir}/msg.calendar.json" || {
   echo "FAIL: msg_fig5_scale differs between event-list backends" >&2
   exit 1
 }
-"${runner}" msg_fig5_scale --seed "${seed}" --scale "${scale}" --compact \
-    --transport unbatched > "${tmp_dir}/msg.unbatched.json"
-cmp "${tmp_dir}/msg.batched.json" "${tmp_dir}/msg.unbatched.json" || {
-  echo "FAIL: msg_fig5_scale differs between batched and unbatched transport" >&2
-  exit 1
-}
-# Timer strategies may only change the event-core mechanics counters
-# (docs/timers.md); msg_* payloads carry none, so they compare whole.
-for strategy in lazy events; do
-  "${runner}" msg_fig5_scale --seed "${seed}" --scale "${scale}" --compact \
-      --timers "${strategy}" > "${tmp_dir}/msg.${strategy}.json"
-  cmp "${tmp_dir}/msg.batched.json" "${tmp_dir}/msg.${strategy}.json" || {
-    echo "FAIL: msg_fig5_scale differs under --timers ${strategy}" >&2
-    exit 1
-  }
-done
 
-echo "==> timer-strategy timing: perf_messages x {events,wheel,lazy} (${reps} reps, best-of)"
-for strategy in events wheel lazy; do
+echo "==> message-level timing: perf_messages (${reps} reps, best-of)"
+"${runner}" perf_messages --seed "${seed}" --scale "${scale}" --compact \
+    > "${tmp_dir}/perf_msg.json"
+best=""
+for rep in $(seq "${reps}"); do
+  start="$(now_ms)"
   "${runner}" perf_messages --seed "${seed}" --scale "${scale}" --compact \
-      --timers "${strategy}" > "${tmp_dir}/perf_msg.${strategy}.json"
-  best=""
-  for rep in $(seq "${reps}"); do
-    start="$(now_ms)"
-    "${runner}" perf_messages --seed "${seed}" --scale "${scale}" --compact \
-        --timers "${strategy}" > /dev/null
-    elapsed=$(( $(now_ms) - start ))
-    echo "    perf_messages ${strategy} rep ${rep}: ${elapsed} ms"
-    if [ -z "${best}" ] || [ "${elapsed}" -lt "${best}" ]; then best="${elapsed}"; fi
-  done
-  eval "msg_best_ms_${strategy}=${best}"
-  eval "msg_events_${strategy}=$(grep -o '"events_executed":[0-9]*' \
-      "${tmp_dir}/perf_msg.${strategy}.json" | head -1 | cut -d: -f2)"
-  eval "msg_peak_${strategy}=$(grep -o '"peak_event_list":[0-9]*' \
-      "${tmp_dir}/perf_msg.${strategy}.json" | head -1 | cut -d: -f2)"
-  eval "msg_peak_timers_${strategy}=$(grep -o '"peak_event_list_timers":[0-9]*' \
-      "${tmp_dir}/perf_msg.${strategy}.json" | head -1 | cut -d: -f2)"
+      > /dev/null
+  elapsed=$(( $(now_ms) - start ))
+  echo "    perf_messages rep ${rep}: ${elapsed} ms"
+  if [ -z "${best}" ] || [ "${elapsed}" -lt "${best}" ]; then best="${elapsed}"; fi
 done
-msg_sent="$(grep -o '"sent":[0-9]*' "${tmp_dir}/perf_msg.wheel.json" | head -1 | cut -d: -f2)"
-timers_fired="$(grep -o '"timers_fired":[0-9]*' "${tmp_dir}/perf_msg.wheel.json" | head -1 | cut -d: -f2)"
-msg_eps_events="$(eps "${msg_events_events}" "${msg_best_ms_events}")"
-msg_eps_wheel="$(eps "${msg_events_wheel}" "${msg_best_ms_wheel}")"
-msg_eps_lazy="$(eps "${msg_events_lazy}" "${msg_best_ms_lazy}")"
-timer_peak_reduction=$(( msg_peak_wheel > 0 ? msg_peak_events / msg_peak_wheel : 0 ))
-timer_speedup_x100=$(( msg_best_ms_wheel > 0 \
-    ? msg_best_ms_events * 100 / msg_best_ms_wheel : 0 ))
+msg_best_ms="${best}"
+msg_events="$(grep -o '"events_executed":[0-9]*' "${tmp_dir}/perf_msg.json" \
+    | head -1 | cut -d: -f2)"
+msg_peak="$(grep -o '"peak_event_list":[0-9]*' "${tmp_dir}/perf_msg.json" \
+    | head -1 | cut -d: -f2)"
+msg_peak_timers="$(grep -o '"peak_event_list_timers":[0-9]*' \
+    "${tmp_dir}/perf_msg.json" | head -1 | cut -d: -f2)"
+msg_sent="$(grep -o '"sent":[0-9]*' "${tmp_dir}/perf_msg.json" | head -1 | cut -d: -f2)"
+timers_fired="$(grep -o '"timers_fired":[0-9]*' "${tmp_dir}/perf_msg.json" | head -1 | cut -d: -f2)"
+msg_eps="$(eps "${msg_events}" "${msg_best_ms}")"
 
 # The sharded engine's full-scale acceptance gate: the merged
 # perf_sharded_scale payload (1,002,000 peers at scale 1) must be
@@ -474,33 +450,15 @@ cat > "${out_file}" <<EOF
     "lazy_peak_timer_share": ${fig5_peak_timers},
     "reduction_factor": ${peak_reduction}
   },
-  "timers": {
+  "messages": {
     "scenario": "perf_messages",
     "messages_sent": ${msg_sent},
     "timers_fired": ${timers_fired},
-    "events": {
-      "wall_ms": ${msg_best_ms_events},
-      "events_executed": ${msg_events_events},
-      "events_per_sec": ${msg_eps_events},
-      "peak_event_list": ${msg_peak_events},
-      "peak_event_list_timers": ${msg_peak_timers_events}
-    },
-    "wheel": {
-      "wall_ms": ${msg_best_ms_wheel},
-      "events_executed": ${msg_events_wheel},
-      "events_per_sec": ${msg_eps_wheel},
-      "peak_event_list": ${msg_peak_wheel},
-      "peak_event_list_timers": ${msg_peak_timers_wheel}
-    },
-    "lazy": {
-      "wall_ms": ${msg_best_ms_lazy},
-      "events_executed": ${msg_events_lazy},
-      "events_per_sec": ${msg_eps_lazy},
-      "peak_event_list": ${msg_peak_lazy},
-      "peak_event_list_timers": ${msg_peak_timers_lazy}
-    },
-    "peak_reduction_factor": ${timer_peak_reduction},
-    "speedup_x100_events_to_wheel": ${timer_speedup_x100}
+    "wall_ms": ${msg_best_ms},
+    "events_executed": ${msg_events},
+    "events_per_sec": ${msg_eps},
+    "peak_event_list": ${msg_peak},
+    "peak_event_list_timers": ${msg_peak_timers}
   },
   "telemetry": {
     "scenario": "perf_sharded_scale",
@@ -565,10 +523,8 @@ echo "==> wrote ${out_file}: ${events} events, best ${headline} events/sec" \
      "(heap ${eps_heap}, calendar ${eps_calendar});" \
      "fig5 peak ${fig5_peak} (${fig5_peak_timers} timers) vs eager" \
      "${eager_peak} (${peak_reduction}x);" \
-     "timers: perf_messages peak ${msg_peak_events} (events) ->" \
-     "${msg_peak_wheel} (wheel, ${timer_peak_reduction}x)," \
-     "wall ${msg_best_ms_events}ms -> ${msg_best_ms_wheel}ms wheel /" \
-     "${msg_best_ms_lazy}ms lazy;" \
+     "perf_messages: ${msg_events} events in ${msg_best_ms}ms" \
+     "(${msg_eps}/s), peak list ${msg_peak} (${msg_peak_timers} timers);" \
      "sharded: ${sharded_population} peers / 8 shards, parity" \
      "fusion x 1/4/8 OK, ${sharded_events_total} events in" \
      "${sharded_best_ms}ms (${sharded_eps_total}/s)," \

@@ -107,24 +107,15 @@ for perf_scenario in perf_steady perf_flash_crowd; do
   }
 done
 
-# Message smoke: the batched mailbox transport's parity contracts on the
-# message-level paper-scale scenario. msg_fig5_scale must be byte-identical
-# across both event-list backends AND across batched/unbatched delivery —
-# the transport mode is pure mechanics (docs/message_batching.md). The
-# heap/batched output was already produced by the smoke loop above.
-echo "==> message smoke: msg_fig5_scale backend + transport parity (seed=${seed}, scale=${scale})"
+# Message smoke: msg_fig5_scale, the message-level paper-scale scenario,
+# must be byte-identical across both event-list backends. The heap output
+# was already produced by the smoke loop above.
+echo "==> message smoke: msg_fig5_scale backend parity (seed=${seed}, scale=${scale})"
 "${runner}" msg_fig5_scale --seed "${seed}" --scale "${scale}" --compact \
     --event-list calendar > "${smoke_dir}/msg_fig5_scale.calendar.json"
 cmp "${smoke_dir}/msg_fig5_scale.1.json" \
     "${smoke_dir}/msg_fig5_scale.calendar.json" || {
   echo "FAIL: msg_fig5_scale differs between event-list backends" >&2
-  exit 1
-}
-"${runner}" msg_fig5_scale --seed "${seed}" --scale "${scale}" --compact \
-    --transport unbatched > "${smoke_dir}/msg_fig5_scale.unbatched.json"
-cmp "${smoke_dir}/msg_fig5_scale.1.json" \
-    "${smoke_dir}/msg_fig5_scale.unbatched.json" || {
-  echo "FAIL: msg_fig5_scale differs between batched and unbatched transport" >&2
   exit 1
 }
 
@@ -171,38 +162,29 @@ if "${runner}" --sweep msg_flash_crowd --latencies warp --scales "${scale}" \
   exit 1
 fi
 
-# Timer smoke: the TimerService strategy is pure event-core mechanics, so
-# one session-level and one message-level scenario must emit identical
-# payloads under all three --timers strategies once the mechanics counters
-# are normalized away. The normalizer is the binary's own --strip-mechanics
-# filter (scenario::strip_event_mechanics over the shared
-# obs::mechanics_schema table), so CI and the parity tests zero exactly the
-# same key set by construction — a new mechanics counter added to the
-# schema is stripped here automatically (docs/observability.md).
-echo "==> timer smoke: fig5_admission_rate + msg_flash_crowd x {wheel,lazy,events}"
-strip_mechanics() {
-  "${runner}" --strip-mechanics
-}
-for timer_scenario in fig5_admission_rate msg_flash_crowd; do
-  for strategy in wheel lazy events; do
-    "${runner}" "${timer_scenario}" --seed "${seed}" --scale "${scale}" \
-        --compact --timers "${strategy}" | strip_mechanics \
-        > "${smoke_dir}/${timer_scenario}.${strategy}.json"
-  done
-  for strategy in lazy events; do
-    cmp "${smoke_dir}/${timer_scenario}.wheel.json" \
-        "${smoke_dir}/${timer_scenario}.${strategy}.json" || {
-      echo "FAIL: ${timer_scenario} differs between --timers wheel and" \
-           "--timers ${strategy}" >&2
+# Removed-flag smoke: the timer wheel and batched delivery are the only
+# paths, so --timers and --transport are unknown flags now. Even their
+# former default values must be rejected with the usage error (exit 2),
+# on a single run and under --sweep, rather than silently ignored.
+echo "==> removed-flag smoke: --timers wheel / --transport batched exit 2"
+for removed in "--timers wheel" "--transport batched"; do
+  for mode in single sweep; do
+    status=0
+    # shellcheck disable=SC2086 — removed is deliberately word-split
+    if [ "${mode}" = single ]; then
+      "${runner}" msg_flash_crowd --scale "${scale}" --compact ${removed} \
+          > /dev/null 2>&1 || status=$?
+    else
+      "${runner}" --sweep msg_flash_crowd --scales "${scale}" --compact \
+          ${removed} > /dev/null 2>&1 || status=$?
+    fi
+    if [ "${status}" -ne 2 ]; then
+      echo "FAIL: ${mode} run with removed flag '${removed}' exited" \
+           "${status} (expected usage error 2)" >&2
       exit 1
-    }
+    fi
   done
 done
-if "${runner}" fig5_admission_rate --timers sundial --scale "${scale}" \
-    --compact > /dev/null 2>&1; then
-  echo "FAIL: --timers accepted an invalid strategy token" >&2
-  exit 1
-fi
 
 # Loss-axis smoke: the sweep's --losses axis must expand deterministically,
 # change the run (not just the echo), and reject junk or out-of-range
@@ -437,6 +419,6 @@ if [ "${status}" -ne 2 ]; then
 fi
 
 echo "==> OK: build, tests, ${count}-scenario smoke pass, perf smoke," \
-     "message smoke, sweep smoke, latency-axis smoke, timer smoke," \
+     "message smoke, sweep smoke, latency-axis smoke, removed-flag smoke," \
      "loss-axis smoke, policy smoke, shard smoke, fusion smoke," \
      "memory smoke and telemetry smoke all green"

@@ -12,7 +12,7 @@ namespace p2ps::engine {
 AsyncStreamingSystem::AsyncStreamingSystem(AsyncSimulationConfig config)
     : config_(std::move(config)),
       simulator_(config_.event_list),
-      timers_(simulator_, config_.timers),
+      timers_(simulator_),
       transport_(simulator_, config_.transport,
                  util::Rng(config_.seed).substream("transport")),
       metrics_(config_.protocol.num_classes),
@@ -237,7 +237,7 @@ SimulationResult AsyncStreamingSystem::run() {
   simulator_.run_until(config_.horizon);
   sampler.stop();
   // Expire timers due by the horizon that no message touched, so the
-  // endpoint states read below agree across timer strategies.
+  // endpoint states read below are those of the horizon instant.
   timers_.poll();
 
   SimulationResult result;

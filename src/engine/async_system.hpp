@@ -1,7 +1,7 @@
 // Message-level (asynchronous) streaming-system simulator.
 //
 // The same peer-to-peer community as engine::StreamingSystem, but every
-// control exchange travels over net::Transport with latency and optional
+// control exchange travels over net::MailboxRouter with latency and optional
 // loss: probes, grants (with timeout-guarded holds), commits, releases,
 // reminders and session teardowns are all messages, and every peer decision
 // is taken locally on message receipt. This is the existence proof that
@@ -34,6 +34,7 @@
 #include "net/async_admission.hpp"
 #include "net/mailbox.hpp"
 #include "sim/simulator.hpp"
+#include "sim/timer_service.hpp"
 #include "util/rng.hpp"
 
 namespace p2ps::engine {
@@ -47,9 +48,8 @@ struct AsyncSimulationConfig {
   util::SimTime horizon = util::SimTime::hours(24);
   util::SimTime session_duration = util::SimTime::minutes(60);
 
-  /// Mailbox-router delivery: latency model, loss injection and the
-  /// batched/unbatched mode (a pure mechanics switch — cannot change
-  /// simulation output, see docs/message_batching.md).
+  /// Mailbox-router delivery: latency model and loss injection
+  /// (docs/message_batching.md).
   net::MailboxConfig transport;
   /// Requester-side probe-response timeout.
   util::SimTime response_timeout = util::SimTime::seconds(5);
@@ -58,12 +58,6 @@ struct AsyncSimulationConfig {
 
   /// Simulator event-list backend (byte-identical output either way).
   sim::EventListKind event_list = sim::EventListKind::kBinaryHeap;
-
-  /// Timer strategy for the endpoint timeouts (grant holds, idle
-  /// elevation, session watchdogs) — the population that dominated the
-  /// peak event list before the TimerService. Byte-identical output
-  /// across strategies (docs/timers.md).
-  sim::TimerConfig timers;
 
   std::uint64_t seed = 42;
   util::SimTime sample_interval = util::SimTime::hours(1);

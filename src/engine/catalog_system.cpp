@@ -14,7 +14,7 @@ namespace p2ps::engine {
 
 CatalogStreamingSystem::CatalogStreamingSystem(CatalogConfig config)
     : config_(std::move(config)),
-      timers_(simulator_, config_.timers),
+      timers_(simulator_),
       metrics_(config_.protocol.num_classes),
       popularity_(static_cast<std::size_t>(std::max<std::int64_t>(1, config_.files)),
                   config_.zipf_skew) {
@@ -302,7 +302,7 @@ CatalogResult CatalogStreamingSystem::run() {
                         [this](util::SimTime t) { take_sample(t); });
   simulator_.run_until(config_.horizon);
   sampler.stop();
-  timers_.poll();  // fire stragglers due by the horizon (lazy strategies)
+  timers_.poll();  // fire stragglers due by the horizon
   if (config_.validate_invariants) check_invariants();
 
   CatalogResult result;

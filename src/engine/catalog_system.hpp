@@ -52,10 +52,6 @@ struct CatalogConfig {
   /// Supplier-selection policy (core registry pointer; never null).
   const core::SelectionPolicy* selection_policy = &core::paper_dac_policy();
 
-  /// Timer strategy for the per-peer idle elevation timers (pure
-  /// mechanics; byte-identical output across strategies, docs/timers.md).
-  sim::TimerConfig timers;
-
   /// Borrowed runtime telemetry sink (null = off); out-of-band by the
   /// same contract as SimulationConfig::telemetry.
   obs::Telemetry* telemetry = nullptr;

@@ -7,7 +7,6 @@
 #include "core/peer_class.hpp"
 #include "core/selection_policy.hpp"
 #include "sim/event_list.hpp"
-#include "sim/timer_service.hpp"
 #include "util/sim_time.hpp"
 #include "workload/arrival_pattern.hpp"
 #include "workload/population.hpp"
@@ -82,12 +81,6 @@ struct SimulationConfig {
   /// byte-identical results (same ordering semantics); the calendar queue
   /// is the O(1) choice for very large event populations.
   sim::EventListKind event_list = sim::EventListKind::kBinaryHeap;
-
-  /// Timer subsystem strategy for the per-supplier idle elevation timers.
-  /// Pure event-core mechanics: all strategies produce byte-identical
-  /// simulation output (docs/timers.md); they differ in how many simulator
-  /// events the armed-timer population costs.
-  sim::TimerConfig timers;
 
   std::uint64_t seed = 42;
 

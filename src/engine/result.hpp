@@ -41,8 +41,8 @@ struct SimulationResult {
   /// O(active sessions + timers), not O(population).
   std::int64_t peak_event_list = 0;
   /// Timer-tagged share of the pending population at the peak instant
-  /// (TimerService events) — what the wheel/lazy timer strategies
-  /// collapse. The remainder is the protocol's own event traffic.
+  /// (TimerService notification events; the wheel keeps at most one per
+  /// service). The remainder is the protocol's own event traffic.
   std::int64_t peak_event_list_timers = 0;
   /// Process-wide peak resident set (getrusage ru_maxrss) read when the
   /// run finished; 0 when not captured. A process-level, run-varying

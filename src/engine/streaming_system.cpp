@@ -30,7 +30,7 @@ std::unique_ptr<lookup::LookupService> make_lookup(LookupKind kind) {
 StreamingSystem::StreamingSystem(SimulationConfig config)
     : config_(std::move(config)),
       simulator_(config_.event_list),
-      timers_(simulator_, config_.timers),
+      timers_(simulator_),
       retries_(simulator_, config_.horizon,
                [this](std::uint32_t index) { attempt_admission(core::PeerId{index}); }),
       lookup_(make_lookup(config_.lookup)),
@@ -180,8 +180,7 @@ void StreamingSystem::arm_idle_timer_at(Peer& p, util::SimTime deadline) {
   }
   P2PS_CHECK(p.supplier.has_value());
   // Rearm keeps the handle and callback — the hot path (one per released
-  // supplier per session) is a deadline update, which under the lazy
-  // strategy costs no event-list traffic at all.
+  // supplier per session) is an O(1) deadline update in the timer wheel.
   if (timers_.rearm_at(p.idle_timer, deadline)) return;
   const core::PeerId id = p.id;
   p.idle_timer = timers_.arm_at(
@@ -219,8 +218,9 @@ void StreamingSystem::first_request(core::PeerId id) {
 
 void StreamingSystem::attempt_admission(core::PeerId id) {
   // Every handler fires due idle timers before reading supplier state, so
-  // the probes below always see vectors as of this instant — regardless of
-  // which timer strategy delivers the elevations (docs/timers.md).
+  // the probes below always see vectors as of this instant — even when the
+  // wheel's notification at this instant is queued behind this event
+  // (docs/timers.md).
   timers_.poll();
   Peer& p = peer(id);
   P2PS_CHECK(!p.admitted && !p.is_supplier);
@@ -385,8 +385,8 @@ void StreamingSystem::take_sample(util::SimTime t) {
 
 void StreamingSystem::take_favored_sample(util::SimTime t) {
   // The favored sums are mutated by idle elevations; fire every elevation
-  // due by `t` before reading them, or the lazy strategies would sample
-  // stale aggregates.
+  // due by `t` before reading them, or a sample taken ahead of the wheel's
+  // notification would read stale aggregates.
   timers_.poll();
   // O(num_classes): the per-class sums are maintained incrementally at
   // every vector mutation (make/depart/mutate_supplier). The sums are
@@ -497,9 +497,8 @@ SimulationResult StreamingSystem::run() {
   simulator_.run_until(config_.horizon);
   sampler.stop();
   favored_sampler.stop();
-  // Fire any timers due by the horizon that no handler touched (the lazy
-  // sweep may still be a fraction of a period away), so the end-of-run
-  // state below is identical across timer strategies.
+  // Fire any timers due by the horizon that no handler touched, so the
+  // end-of-run state below is that of the horizon instant.
   timers_.poll();
 
   P2PS_CHECK_MSG(arrivals.done(), "horizon covers the arrival window, so "

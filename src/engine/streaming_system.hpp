@@ -93,8 +93,8 @@ class StreamingSystem {
   void arm_idle_timer(Peer& p);
   void arm_idle_timer_at(Peer& p, util::SimTime deadline);
   void disarm_idle_timer(Peer& p);
-  /// `at` is the timer's deadline — the logical firing time, which the lazy
-  /// timer strategies may deliver after the clock has moved on.
+  /// `at` is the timer's deadline — the logical firing time, which a
+  /// handler's poll() may deliver after other events at that instant.
   void on_idle_timeout(core::PeerId id, util::SimTime at);
 
   void first_request(core::PeerId id);
@@ -122,10 +122,10 @@ class StreamingSystem {
 
   SimulationConfig config_;
   sim::Simulator simulator_;
-  /// Idle elevation timers for every registered supplier, behind the
-  /// strategy picked by config.timers (event-per-timer, wheel, or lazy
-  /// deadline checks). Every event handler polls it on entry, which is
-  /// what keeps the strategies byte-interchangeable (docs/timers.md).
+  /// Idle elevation timers for every registered supplier, on the timer
+  /// wheel. Every event handler polls it on entry, so a handler never
+  /// observes a passed deadline whose callback has not run
+  /// (docs/timers.md).
   sim::TimerService timers_;
   /// Backoff retries of waiting peers, keyed by peer index and exposed to
   /// the simulator as one in-flight event (keeps the event list O(active

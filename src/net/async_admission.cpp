@@ -63,8 +63,9 @@ void SupplierEndpoint::clear_hold() {
 
 void SupplierEndpoint::on_message(const Envelope<Message>& envelope) {
   // Deadline-check-on-message-touch: expire every due hold, idle period
-  // and watchdog before this message reads or mutates admission state, so
-  // all timer strategies answer it identically (docs/timers.md).
+  // and watchdog before this message reads or mutates admission state, even
+  // when the timer wheel's notification is queued behind this delivery
+  // (docs/timers.md).
   timers_.poll();
   if (const auto* probe = std::get_if<Probe>(&envelope.payload)) {
     ProbeResponse response;

@@ -2,7 +2,7 @@
 //
 // The paper evaluates DAC_p2p with instantaneous control exchanges (as does
 // src/engine). This module runs the *same* protocol state machines over the
-// lossy, latency-bearing Transport, showing the protocol is genuinely
+// lossy, latency-bearing mailbox router, showing the protocol is genuinely
 // distributed and tolerant of message loss:
 //   * suppliers answer probes locally and place a timeout-guarded hold on a
 //     grant, so a crashed or silent requester cannot pin them forever;
@@ -30,9 +30,7 @@
 
 namespace p2ps::net {
 
-/// The endpoints run over the batched mailbox router; per-(peer, tick)
-/// batching and the unbatched per-message baseline share one delivery
-/// ordering rule, so the protocol code is mode-oblivious (net/mailbox.hpp).
+/// The endpoints run over the batched mailbox router (net/mailbox.hpp).
 using MessageTransport = MailboxRouter<Message>;
 
 /// Supplier-side protocol endpoint: wraps a core::SupplierAdmission and

@@ -1,28 +1,19 @@
-// Batched mailbox delivery: per-(destination peer, delivery tick) message
-// batching over the discrete-event simulator.
+// Batched mailbox delivery: unicast messages with latency and loss over
+// the discrete-event simulator, delivered in per-(destination peer,
+// delivery tick) batches.
 //
-// The legacy Transport schedules one simulator event per message — at
-// message-level paper scale that is one queue insertion, one heap-boxed
-// callback (an Envelope does not fit the simulator's inline callback
-// storage) and one dispatch per control message. The MailboxRouter instead
-// appends messages bound for the same peer at the same simulator tick to a
-// pooled inbox and drains the whole group with a single event whose
-// callback is three words (receiver id, tick, group id).
+// One simulator event per message would mean one queue insertion, one
+// heap-boxed callback (an Envelope does not fit the simulator's inline
+// callback storage) and one dispatch per control message. The
+// MailboxRouter instead appends messages bound for the same peer at the
+// same simulator tick to a pooled inbox and drains the whole group with a
+// single event that captures only the receiver id and the tick.
 //
-// Delivery ordering rule (the subsystem's documented semantics, argued in
-// docs/message_batching.md):
+// Delivery ordering rule (argued in docs/message_batching.md):
 //   * all messages for peer P arriving at tick T are delivered
 //     contiguously, FIFO in enqueue (send) order;
 //   * groups fire at their tick in creation order — the drain event's
 //     queue position is fixed when the group's first message is sent.
-//
-// Batched vs unbatched mode share this rule bit-for-bit; unbatched mode
-// differs only in mechanics (one simulator event per message — the group's
-// first event drains the whole inbox FIFO, its successors find the group
-// already retired and fire empty). A mode flip therefore cannot change any
-// simulation output, which is what the byte-parity tests pin down, while
-// the event count and peak event list expose exactly the queue traffic
-// batching amortizes.
 #pragma once
 
 #include <cstdint>
@@ -35,35 +26,32 @@
 #include "core/peer_class.hpp"
 #include "net/envelope_pool.hpp"
 #include "net/latency.hpp"
-#include "net/transport.hpp"
 #include "sim/simulator.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
 
 namespace p2ps::net {
 
-enum class TransportMode {
-  kBatched,    ///< one drain event per (peer, tick) group
-  kUnbatched,  ///< one event per message, same delivery order (baseline)
+/// An envelope delivered to a node's handler.
+template <typename Payload>
+struct Envelope {
+  core::PeerId from;
+  core::PeerId to;
+  Payload payload;
 };
-
-[[nodiscard]] std::string_view to_string(TransportMode mode);
-
-/// Parses "batched" | "unbatched"; nullopt on anything else.
-[[nodiscard]] std::optional<TransportMode> parse_transport_mode(
-    std::string_view token);
 
 struct MailboxConfig {
   LatencyModel latency;
   /// Probability that a message is silently dropped (failure injection).
   double drop_probability = 0.0;
-  TransportMode mode = TransportMode::kBatched;
 };
 
 /// Unicast message router with per-(peer, tick) batched delivery.
 ///
-/// Delivery guarantees match the legacy Transport: messages to a node are
-/// delivered while it stays attached; messages to detached nodes vanish.
+/// Messages to a node are delivered while it stays attached; messages to
+/// detached nodes vanish (peer down). Latency is sampled per message, so
+/// two messages on the same pair may be reordered — the property the async
+/// protocol has to tolerate on a real network.
 /// Peer ids must be small dense integers (the engines' ids are) — per-peer
 /// state is a direct-mapped table, O(max id) memory for hash-free access,
 /// the same trade the directory index makes.
@@ -131,23 +119,16 @@ class MailboxRouter {
         break;
       }
     }
-    const bool new_group = group == nullptr;
-    if (new_group) {
-      box.pending.push_back(Group{tick, next_group_, pool_.acquire()});
+    if (group == nullptr) {
+      // One drain event per group, scheduled at first append: its queue
+      // position (and hence the group's order among same-tick events) is
+      // fixed here.
+      box.pending.push_back(Group{tick, pool_.acquire()});
       group = &box.pending.back();
-      ++next_group_;
+      ++events_scheduled_;
+      simulator_.schedule_at(tick, [this, to, tick] { drain(to, tick); });
     }
     group->inbox.push_back(Envelope<Payload>{from, to, std::move(payload)});
-    // Batched: one drain event per group, scheduled at first append — its
-    // queue position (and hence the group's order among same-tick events)
-    // is fixed here. Unbatched: one event per message; only the first to
-    // fire finds the group (matched by id, so a zero-latency regroup at
-    // the same tick cannot be drained early by a stale event).
-    if (new_group || config_.mode == TransportMode::kUnbatched) {
-      ++events_scheduled_;
-      const std::uint64_t id = group->id;
-      simulator_.schedule_at(tick, [this, to, tick, id] { drain(to, tick, id); });
-    }
     return true;
   }
 
@@ -156,10 +137,9 @@ class MailboxRouter {
   [[nodiscard]] std::uint64_t dropped() const { return dropped_; }
   [[nodiscard]] std::uint64_t undeliverable() const { return undeliverable_; }
 
-  /// Delivery events scheduled: one per group when batched, one per
-  /// message when unbatched — the event traffic batching amortizes.
+  /// Delivery events scheduled: one per (peer, tick) group.
   [[nodiscard]] std::uint64_t events_scheduled() const { return events_scheduled_; }
-  /// Drain events that found their group and delivered it.
+  /// Groups drained (every delivery event drains exactly one).
   [[nodiscard]] std::uint64_t drains() const { return drains_; }
   /// Largest group ever drained at once.
   [[nodiscard]] std::size_t max_batch() const { return max_batch_; }
@@ -168,12 +148,12 @@ class MailboxRouter {
   [[nodiscard]] const MailboxConfig& config() const { return config_; }
 
  private:
-  /// One in-flight (peer, tick) batch. `id` is a router-wide sequence
-  /// number: drain events capture it so a stale unbatched event can never
-  /// drain a group re-created at the same tick.
+  /// One in-flight (peer, tick) batch. A peer has at most one pending
+  /// group per tick: a send at tick T joins it, and a group is removed
+  /// before its handlers run, so a send from inside the drain (zero
+  /// latency) opens a fresh group with its own later event.
   struct Group {
     util::SimTime tick;
-    std::uint64_t id = 0;
     std::vector<Envelope<Payload>> inbox;
   };
 
@@ -195,20 +175,14 @@ class MailboxRouter {
                : core::kHighestClass;
   }
 
-  void drain(core::PeerId to, util::SimTime tick, std::uint64_t id) {
+  void drain(core::PeerId to, util::SimTime tick) {
     auto& pending = nodes_[static_cast<std::size_t>(to.value())].pending;
-    std::size_t slot = pending.size();
-    for (std::size_t i = 0; i < pending.size(); ++i) {
-      if (pending[i].id == id) {
-        slot = i;
-        break;
-      }
-    }
-    if (slot == pending.size()) return;  // unbatched: group already drained
-    P2PS_CHECK(pending[slot].tick == tick);
+    std::size_t slot = 0;
+    while (slot < pending.size() && pending[slot].tick != tick) ++slot;
+    P2PS_CHECK_MSG(slot < pending.size(), "drain event without its group");
     auto inbox = std::move(pending[slot].inbox);
     // Swap-remove: order within `pending` carries no meaning (drain order
-    // is fixed by the events' queue positions, groups are matched by id).
+    // is fixed by the events' queue positions, groups are found by tick).
     pending[slot] = std::move(pending.back());
     pending.pop_back();
     ++drains_;
@@ -237,7 +211,6 @@ class MailboxRouter {
   /// table must not relocate the Mailbox whose handler is executing.
   std::deque<Mailbox> nodes_;
   EnvelopePool<Envelope<Payload>> pool_;
-  std::uint64_t next_group_ = 0;
   std::uint64_t sent_ = 0;
   std::uint64_t delivered_ = 0;
   std::uint64_t dropped_ = 0;

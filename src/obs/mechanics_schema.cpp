@@ -7,7 +7,7 @@ namespace {
 constexpr MechanicsField kSchema[] = {
     {"peak_event_list_timers",
      "armed-timer share of the pending-event population at its peak "
-     "instant (the component the wheel/lazy timer strategies collapse)"},
+     "instant (the timer wheel's notification events)"},
     {"peak_event_list_other",
      "non-timer share of the pending-event population at its peak instant "
      "(peak_event_list_timers + peak_event_list_other = peak_event_list)"},
@@ -16,8 +16,8 @@ constexpr MechanicsField kSchema[] = {
     {"events_executed",
      "total simulator events executed (per shard in sharded payloads)"},
     {"timer_events_scheduled",
-     "simulator events the timer subsystem scheduled (strategy-dependent; "
-     "see docs/timers.md)"},
+     "simulator events the timer wheel scheduled (its notification "
+     "events; see docs/timers.md)"},
     {"peak_rss_bytes",
      "process peak resident set size (getrusage; machine-dependent)"},
     {"bytes_per_peer",

@@ -2,11 +2,10 @@
 //
 // Mechanics counters describe HOW a run executed (event counts, peaks,
 // pool traffic, RSS), not WHAT it computed — they are the only payload
-// fields allowed to vary across event-list backends, timer strategies,
-// shard counts and machines. Two consumers must agree on the exact key
-// set: scenario payloads emit them (behind --mechanics for the partition-
-// dependent ones), and scenario::strip_event_mechanics zeroes them before
-// parity comparisons. Deriving both from this table means a new counter
+// fields allowed to vary across shard counts and machines. Two consumers
+// must agree on the exact key set: scenario payloads emit them (behind
+// --mechanics for the partition-dependent ones), and
+// scenario::strip_event_mechanics zeroes them before parity comparisons. Deriving both from this table means a new counter
 // added here is automatically stripped — it cannot silently leak into a
 // parity-checked payload — and docs/observability.md documents the same
 // list the code enforces.

@@ -5,13 +5,10 @@
 //   * msg_* scenarios are parity-locked: their payloads carry protocol
 //     results only (admissions, capacity growth, message totals), never
 //     event-core mechanics, so a run must be byte-identical across both
-//     event-list backends AND across batched/unbatched transport modes
-//     (tests/mailbox_test.cpp, scripts/ci.sh, scripts/bench.sh).
+//     event-list backends (tests/scenario_test.cpp, scripts/ci.sh).
 //   * perf_messages deliberately exposes the mechanics (events executed,
 //     peak event list, drains, batch sizes, pool reuse) — it is the
-//     workload scripts/bench.sh times batched vs unbatched for
-//     BENCH_4.json, and is therefore exempt from the cross-mode parity
-//     contract (cross-backend parity still holds).
+//     message-level workload scripts/bench.sh and perfbench/ time.
 #include <string>
 #include <utility>
 
@@ -25,9 +22,9 @@ namespace {
 
 using util::SimTime;
 
-/// Shared base: seed/backend/transport-mode/timer plumbing plus the
-/// latency model (defaulting to the paper-mirroring two-class split) and
-/// the loss axis (defaulting to each scenario's own drop probability).
+/// Shared base: seed/backend plumbing plus the latency model (defaulting
+/// to the paper-mirroring two-class split) and the loss axis (defaulting
+/// to each scenario's own drop probability).
 engine::AsyncSimulationConfig message_config(
     const ScenarioOptions& options,
     net::LatencyModelKind default_latency = net::LatencyModelKind::kTwoClass,
@@ -35,8 +32,6 @@ engine::AsyncSimulationConfig message_config(
   engine::AsyncSimulationConfig config;
   config.seed = options.seed;
   config.event_list = options.event_list;
-  config.timers.strategy = options.timers;
-  config.transport.mode = options.transport;
   config.transport.latency =
       net::LatencyModel::of(options.latency.value_or(default_latency));
   config.transport.drop_probability = options.loss.value_or(default_loss);
@@ -64,9 +59,8 @@ Json class_counters_to_json(const metrics::ClassCounters& counters) {
 }
 
 /// Protocol-level summary of one message-level run. Unlike result_to_json
-/// this deliberately omits events_executed and peak_event_list: those are
-/// transport-mode mechanics, and msg_* payloads must be byte-identical
-/// across batched/unbatched delivery.
+/// this deliberately omits events_executed and peak_event_list: msg_*
+/// payloads carry protocol results only, never event-core mechanics.
 Json msg_result_to_json(const engine::SimulationResult& result,
                         const net::MessageTransport& transport,
                         int series_step_hours) {
@@ -175,7 +169,8 @@ Json perf_messages(const ScenarioOptions& options) {
           config.population.seeds + config.population.requesters);
   out.set("latency", latency_label(config));
   out.set("drop_probability", config.transport.drop_probability);
-  out.set("transport", std::string(net::to_string(config.transport.mode)));
+  // The mailbox has one delivery mode; the literal keeps the payload stable.
+  out.set("transport", "batched");
   out.set("events_executed", result.events_executed);
   out.set("peak_event_list", result.peak_event_list);
   out.set("peak_event_list_timers", result.peak_event_list_timers);
@@ -201,9 +196,8 @@ Json perf_messages(const ScenarioOptions& options) {
   messages.set("inboxes_reused", transport.pool().reused());
   out.set("messages", std::move(messages));
   Json timers = Json::object();
-  // timers_fired is strategy-invariant (same protocol evolution fires the
-  // same timers); timer_events_scheduled is the event traffic the wheel
-  // and lazy strategies exist to remove (stripped by the parity check).
+  // timers_fired follows the protocol; timer_events_scheduled counts the
+  // wheel's notification events.
   timers.set("timers_fired", system.timer_service().fired());
   timers.set("timer_events_scheduled", system.timer_service().events_scheduled());
   out.set("timers", std::move(timers));
@@ -213,6 +207,9 @@ Json perf_messages(const ScenarioOptions& options) {
 }  // namespace
 
 void register_message_scenarios(Registry& registry) {
+  // Descriptions are echoed in every payload envelope, so these keep their
+  // original wording (which predates the single delivery mode) to keep the
+  // payloads byte-stable.
   registry.add({"msg_fig5_scale",
                 "Message-level fig5 — the full 50,100-peer population with "
                 "every control exchange as a routed message, DAC_p2p vs "

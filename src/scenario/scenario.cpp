@@ -76,7 +76,6 @@ engine::SimulationConfig paper_config(const ScenarioOptions& options,
   auto config = engine::section51_config(pattern, differentiated, options.seed,
                                          options.scale);
   config.event_list = options.event_list;
-  config.timers.strategy = options.timers;
   if (options.policy != nullptr) config.selection_policy = options.policy;
   config.telemetry = options.telemetry;
   return config;
@@ -86,7 +85,6 @@ void scale_population(const ScenarioOptions& options, engine::SimulationConfig& 
   config.seed = options.seed;
   config.validate_invariants = false;
   config.event_list = options.event_list;
-  config.timers.strategy = options.timers;
   if (options.policy != nullptr) config.selection_policy = options.policy;
   config.telemetry = options.telemetry;
   workload::apply_population_divisor(config.population, options.scale);
@@ -188,8 +186,7 @@ Json result_to_json(const engine::SimulationResult& result, int series_step_hour
   out.set("events_executed", result.events_executed);
   out.set("peak_event_list", result.peak_event_list);
   // The timer vs non-timer split of the pending population at the peak
-  // instant (they sum to peak_event_list): the timer share is what the
-  // wheel/lazy strategies collapse.
+  // instant (they sum to peak_event_list).
   out.set("peak_event_list_timers", result.peak_event_list_timers);
   out.set("peak_event_list_other",
           result.peak_event_list - result.peak_event_list_timers);

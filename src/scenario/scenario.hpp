@@ -18,7 +18,6 @@
 #include "engine/config.hpp"
 #include "engine/result.hpp"
 #include "net/latency.hpp"
-#include "net/mailbox.hpp"
 #include "scenario/json.hpp"
 
 namespace p2ps::scenario {
@@ -33,12 +32,6 @@ struct ScenarioOptions {
   /// envelope: both backends must produce byte-identical JSON, and keeping
   /// the field out lets tests/ci assert that by comparing whole documents.
   sim::EventListKind event_list = sim::EventListKind::kBinaryHeap;
-  /// Timer-subsystem strategy for every engine's TimerService. Also absent
-  /// from the envelope: the strategies must produce byte-identical
-  /// payloads up to the event-core mechanics counters (events_executed and
-  /// the peak_event_list* split — the counters the strategies exist to
-  /// change; see docs/timers.md and strip_event_mechanics()).
-  sim::TimerStrategy timers = sim::TimerConfig{}.strategy;
   /// Latency model for message-level (msg_* / perf_messages) scenarios;
   /// unset = each scenario's own default. Echoed inside those scenarios'
   /// payloads (it is a real workload parameter), ignored by session-level
@@ -48,11 +41,6 @@ struct ScenarioOptions {
   /// scenario's own default (msg_flash_crowd injects 2%). Echoed in those
   /// payloads as drop_probability, ignored by session-level scenarios.
   std::optional<double> loss;
-  /// Mailbox delivery mode for message-level scenarios. Like the event
-  /// list, deliberately byte-invisible: batched and unbatched runs must
-  /// emit identical JSON (docs/message_batching.md), and keeping the field
-  /// out of every payload lets tests compare whole documents.
-  net::TransportMode transport = net::TransportMode::kBatched;
   /// Supplier-selection policy override (--policy); null = every scenario's
   /// own default (the paper-dac baseline except where a scenario pins its
   /// own, e.g. ablation_selection). Deliberately absent from the envelope:
@@ -148,12 +136,10 @@ void scale_population(const ScenarioOptions& options, engine::SimulationConfig& 
   return value ? Json(*value) : Json();
 }
 
-/// Zeroes the event-core mechanics counters in a serialized payload —
-/// events_executed and the peak_event_list/timer split. These are the only
-/// fields the `--timers` strategies may change (the non-timer event
-/// trajectory is strategy-invariant by construction, docs/timers.md), so
-/// two runs differing only in timer strategy must compare equal after this
-/// normalization. Shared by the parity test and scripts/ci.sh's sed.
+/// Zeroes the event-core mechanics counters in a serialized payload — the
+/// keys of the obs::mechanics_schema table (events_executed, the
+/// peak_event_list/timer split, peak RSS, pool counters, ...). Backs the
+/// `p2ps_run --strip-mechanics` filter.
 [[nodiscard]] std::string strip_event_mechanics(std::string json_text);
 
 // Registration entry points, one per implementation file.

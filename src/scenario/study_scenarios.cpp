@@ -6,9 +6,8 @@
 //     self-recoveries per cell (the ROADMAP's loss x latency residual).
 //
 // msg_loss_latency_study carries the msg_ prefix on purpose: its payload is
-// protocol results only (no event-core mechanics), so the mailbox parity
-// tests and ci.sh automatically hold it byte-identical across batched and
-// unbatched transport, both event-list backends, and all timer strategies.
+// protocol results only (no event-core mechanics), so the backend parity
+// tests hold it byte-identical across both event-list backends.
 #include <string>
 #include <utility>
 
@@ -78,8 +77,6 @@ Json msg_loss_latency_study(const ScenarioOptions& options) {
       engine::AsyncSimulationConfig config;
       config.seed = options.seed;
       config.event_list = options.event_list;
-      config.timers.strategy = options.timers;
-      config.transport.mode = options.transport;
       // The grid axes themselves: --losses / --latencies sweep overrides
       // still apply per point, but inside one scenario run the study walks
       // its own fixed grid (that IS the recorded result).
@@ -127,6 +124,8 @@ void register_study_scenarios(Registry& registry) {
                 "BitTorrent-inspired rivals): admission rate, buffering "
                 "delay, waiting time",
                 fig5_policy_lab});
+  // The description is echoed in every payload envelope; its wording
+  // predates the single delivery mode and stays for byte-stable payloads.
   registry.add({"msg_loss_latency_study",
                 "Loss x latency study — the message-level engine over the "
                 "{0, 2, 5}% loss x {fixed, twoclass, lognormal} latency "

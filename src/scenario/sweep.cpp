@@ -57,7 +57,7 @@ std::vector<SweepPoint> SweepSpec::points() const {
             for (const auto& loss : losses) {
               for (const core::SelectionPolicy* policy : policies) {
                 out.push_back(SweepPoint{name, seed, scale, kind, latency,
-                                         loss, policy, timers});
+                                         loss, policy});
               }
             }
           }
@@ -78,7 +78,6 @@ Json run_one_point(const SweepPoint& point) {
   options.latency = point.latency;
   options.loss = point.loss;
   options.policy = point.policy;
-  options.timers = point.timers;
   return run_scenario(point.scenario, options);
 }
 

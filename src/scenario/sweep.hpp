@@ -22,7 +22,6 @@
 #include "net/latency.hpp"
 #include "scenario/json.hpp"
 #include "sim/event_list.hpp"
-#include "sim/timer_service.hpp"
 
 namespace p2ps::scenario {
 
@@ -42,9 +41,6 @@ struct SweepPoint {
   /// Supplier-selection policy; nullptr = every scenario's own default
   /// (the paper-dac baseline). The "--policies" axis of the policy lab.
   const core::SelectionPolicy* policy = nullptr;
-  /// Timer-subsystem strategy. Not an axis (it is byte-invisible
-  /// mechanics, docs/timers.md) — a single shared setting for every point.
-  sim::TimerStrategy timers = sim::TimerConfig{}.strategy;
 };
 
 /// A sweep specification: the cross product of its axes, in deterministic
@@ -59,8 +55,6 @@ struct SweepSpec {
   std::vector<std::optional<double>> losses = {std::nullopt};
   /// Selection-policy axis; nullptr entries mean "scenario default".
   std::vector<const core::SelectionPolicy*> policies = {nullptr};
-  /// Shared (non-axis) timer strategy applied to every point.
-  sim::TimerStrategy timers = sim::TimerConfig{}.strategy;
 
   /// Expands the cross product; throws ContractViolation when any axis is
   /// empty, a scenario name is unknown, or a loss value is outside [0, 1]

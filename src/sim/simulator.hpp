@@ -82,8 +82,7 @@ class Simulator {
 
   /// How many of the events pending at the peak_pending_count() instant
   /// were timer-tagged (schedule_timer_at) — the timer vs non-timer split
-  /// of the peak. This share is what the wheel/lazy timer strategies
-  /// collapse.
+  /// of the peak (the timer wheel keeps at most one per TimerService).
   [[nodiscard]] std::size_t peak_pending_timers() const {
     return peak_live_timers_;
   }

@@ -7,41 +7,15 @@
 
 namespace p2ps::sim {
 
-std::string_view to_string(TimerStrategy strategy) {
-  switch (strategy) {
-    case TimerStrategy::kEvents: return "events";
-    case TimerStrategy::kWheel: return "wheel";
-    case TimerStrategy::kLazy: return "lazy";
-  }
-  P2PS_CHECK_MSG(false, "unreachable timer strategy");
-  return "";
-}
-
-std::optional<TimerStrategy> parse_timer_strategy(std::string_view name) {
-  if (name == "events") return TimerStrategy::kEvents;
-  if (name == "wheel") return TimerStrategy::kWheel;
-  if (name == "lazy") return TimerStrategy::kLazy;
-  return std::nullopt;
-}
-
-TimerService::TimerService(Simulator& simulator, TimerConfig config)
-    : simulator_(simulator), config_(config) {
-  P2PS_REQUIRE(config_.lazy_sweep_period > util::SimTime::zero());
-  if (config_.strategy == TimerStrategy::kWheel) {
-    wheel_.resize(static_cast<std::size_t>(kLevels) * kSlots);
-    wheel_time_ = simulator_.now().as_millis();
-  }
-}
+TimerService::TimerService(Simulator& simulator, TimerConfig)
+    : simulator_(simulator),
+      wheel_(static_cast<std::size_t>(kLevels) * kSlots),
+      wheel_time_(simulator.now().as_millis()) {}
 
 TimerService::~TimerService() {
-  // Release every simulator event the service still owns; the engines
-  // destroy the service before the simulator, but the simulator may
-  // outlive it in tests.
+  // Release the notification event; the engines destroy the service before
+  // the simulator, but the simulator may outlive it in tests.
   if (notify_event_.valid()) simulator_.cancel(notify_event_);
-  if (sweep_event_.valid()) simulator_.cancel(sweep_event_);
-  for (Slot& slot : slots_) {
-    if (slot.armed && slot.event.valid()) simulator_.cancel(slot.event);
-  }
 }
 
 TimerService::Slot* TimerService::live_slot(TimerId id) {
@@ -71,7 +45,6 @@ void TimerService::release_slot(std::uint32_t index) {
   Slot& slot = slots_[index];
   slot.cb = nullptr;
   slot.armed = false;
-  slot.event = EventId::invalid();
   ++slot.generation;  // invalidates every outstanding id for this slot
   slot.next_free = free_head_;
   free_head_ = index;
@@ -99,12 +72,8 @@ TimerId TimerService::arm_after(util::SimTime delay, Callback cb) {
 bool TimerService::rearm_at(TimerId id, util::SimTime deadline) {
   Slot* slot = live_slot(id);
   if (slot == nullptr) return false;
-  if (slot->event.valid()) {
-    simulator_.cancel(slot->event);
-    slot->event = EventId::invalid();
-  }
   slot->deadline = deadline;
-  slot->seq = next_seq_++;  // stale heap/wheel entries stop matching
+  slot->seq = next_seq_++;  // stale wheel entries stop matching
   index_timer(slot_of(id));
   if (!dispatching_) refresh_notification();
   return true;
@@ -122,7 +91,6 @@ bool TimerService::cancel(TimerId id) {
   // pending()); disciplined callers poll() before cancelling, so this only
   // disagrees with the handle's own view during teardown.
   const bool was_future = slot->deadline > simulator_.now();
-  if (slot->event.valid()) simulator_.cancel(slot->event);
   release_slot(slot_of(id));
   --armed_;
   return was_future;
@@ -144,24 +112,7 @@ void TimerService::index_timer(std::uint32_t slot_index) {
     due_heap_.push(entry);
     return;
   }
-  switch (config_.strategy) {
-    case TimerStrategy::kEvents: {
-      // The event-per-timer baseline: one dedicated, timer-tagged
-      // simulator event per armed timer, exactly the pre-service event
-      // mass. The heap still orders same-instant firings.
-      heap_.push(entry);
-      ++events_scheduled_;
-      slot.event = simulator_.schedule_timer_at(
-          std::max(slot.deadline, simulator_.now()), [this] { poll(); });
-      break;
-    }
-    case TimerStrategy::kWheel:
-      wheel_file(entry);
-      break;
-    case TimerStrategy::kLazy:
-      heap_.push(entry);
-      break;
-  }
+  wheel_file(entry);
 }
 
 void TimerService::dispatch() {
@@ -170,19 +121,17 @@ void TimerService::dispatch() {
   dispatching_ = true;
   dispatch_now_ = simulator_.now();
   scratch_.clear();
-  collect_due(dispatch_now_, scratch_);
+  wheel_collect_due(dispatch_now_.as_millis(), scratch_);
   for (const Entry& entry : scratch_) due_heap_.push(entry);
-  // Drain in (deadline, arm-seq) order — identical whatever structure held
-  // the entries, which is what makes the strategies interchangeable.
-  // Callbacks arming already-due timers push into the same heap, so chain
-  // catch-up still interleaves by deadline.
+  // Drain in (deadline, arm-seq) order, whatever wheel slots held the
+  // entries. Callbacks arming already-due timers push into the same heap,
+  // so chain catch-up still interleaves by deadline.
   while (!due_heap_.empty()) {
     const Entry entry = due_heap_.top();
     due_heap_.pop();
     if (!entry_live(entry)) continue;  // cancelled/rearmed by an earlier firing
     Slot& slot = slots_[entry.slot];
     Callback cb = std::move(slot.cb);
-    if (slot.event.valid()) simulator_.cancel(slot.event);
     release_slot(entry.slot);  // before invoking: the callback may re-arm
     --armed_;
     ++fired_;
@@ -192,70 +141,30 @@ void TimerService::dispatch() {
   refresh_notification();
 }
 
-void TimerService::collect_due(util::SimTime now, std::vector<Entry>& out) {
-  switch (config_.strategy) {
-    case TimerStrategy::kEvents:
-    case TimerStrategy::kLazy:
-      while (!heap_.empty()) {
-        const Entry top = heap_.top();
-        if (top.deadline > now) break;
-        heap_.pop();
-        if (entry_live(top)) out.push_back(top);
-      }
-      break;
-    case TimerStrategy::kWheel:
-      wheel_collect_due(now.as_millis(), out);
-      break;
-  }
-}
-
 void TimerService::refresh_notification() {
-  switch (config_.strategy) {
-    case TimerStrategy::kEvents:
-    case TimerStrategy::kLazy: {
-      while (!heap_.empty() && !entry_live(heap_.top())) heap_.pop();
-      next_due_ =
-          heap_.empty() ? util::SimTime::max() : heap_.top().deadline;
-      if (config_.strategy == TimerStrategy::kLazy && armed_ > 0 &&
-          !simulator_.pending(sweep_event_)) {
-        ++events_scheduled_;
-        sweep_event_ = simulator_.schedule_timer_at(
-            simulator_.now() + config_.lazy_sweep_period, [this] {
-              sweep_event_ = EventId::invalid();
-              poll();
-              refresh_notification();  // next tick, while timers remain
-            });
-      }
-      break;
+  const std::int64_t hint = wheel_next_due_hint();
+  next_due_ = hint == std::numeric_limits<std::int64_t>::max()
+                  ? util::SimTime::max()
+                  : util::SimTime::millis(hint);
+  if (next_due_ == util::SimTime::max()) {
+    if (notify_event_.valid()) {
+      simulator_.cancel(notify_event_);
+      notify_event_ = EventId::invalid();
+      notify_time_ = util::SimTime::max();
     }
-    case TimerStrategy::kWheel: {
-      const std::int64_t hint = wheel_next_due_hint();
-      next_due_ = hint == std::numeric_limits<std::int64_t>::max()
-                      ? util::SimTime::max()
-                      : util::SimTime::millis(hint);
-      if (next_due_ == util::SimTime::max()) {
-        if (notify_event_.valid()) {
-          simulator_.cancel(notify_event_);
-          notify_event_ = EventId::invalid();
-          notify_time_ = util::SimTime::max();
-        }
-      } else if (!simulator_.pending(notify_event_) ||
-                 notify_time_ > next_due_) {
-        if (notify_event_.valid()) simulator_.cancel(notify_event_);
-        // next_due_ can sit in the past when cancelled residue is all that
-        // is left before the cursor; wake immediately and let the dispatch
-        // walk clean it up.
-        notify_time_ = std::max(next_due_, simulator_.now());
-        ++events_scheduled_;
-        notify_event_ = simulator_.schedule_timer_at(notify_time_, [this] {
-          notify_event_ = EventId::invalid();
-          notify_time_ = util::SimTime::max();
-          poll();
-          refresh_notification();  // re-arm even when nothing was due
-        });
-      }
-      break;
-    }
+  } else if (!simulator_.pending(notify_event_) || notify_time_ > next_due_) {
+    if (notify_event_.valid()) simulator_.cancel(notify_event_);
+    // next_due_ can sit in the past when cancelled residue is all that is
+    // left before the cursor; wake immediately and let the dispatch walk
+    // clean it up.
+    notify_time_ = std::max(next_due_, simulator_.now());
+    ++events_scheduled_;
+    notify_event_ = simulator_.schedule_timer_at(notify_time_, [this] {
+      notify_event_ = EventId::invalid();
+      notify_time_ = util::SimTime::max();
+      poll();
+      refresh_notification();  // re-arm even when nothing was due
+    });
   }
 }
 

@@ -1,48 +1,33 @@
-// Unified lazy timer subsystem: one handle-based API over three
-// interchangeable firing strategies.
+// Timer subsystem: one handle-based API over a hierarchical timing wheel.
 //
-// After lazy arrivals (PR 3) and batched message delivery (PR 4), the
-// remaining peak-event-list mass is timers: per-supplier idle elevation
-// timers (the paper's T_out) and the message-level engine's grant holds and
-// session watchdogs — one pending simulator event per armed timer, tens of
-// thousands at paper scale. TimerService gives timers their own subsystem:
+// The engines' timers are per-supplier idle elevation timers (the paper's
+// T_out) plus the message-level engine's grant holds and session
+// watchdogs: tens of thousands armed at once at paper scale. One simulator
+// event per armed timer would put that whole population on the event list.
+// The wheel (64-slot levels, one occupancy bitmap per level) makes arm and
+// cancel O(1), and the simulator carries ONE "next wheel tick"
+// notification event per non-empty horizon instead of one event per timer.
 //
-//   * kEvents — the event-per-timer baseline: every armed timer keeps one
-//     dedicated (timer-tagged) simulator event. Reference mechanics for the
-//     parity tests and the BENCH_5 comparison point.
-//   * kWheel  — hierarchical timing wheel (64-slot levels, one occupancy
-//     bitmap per level): arm/cancel are O(1), and the simulator carries ONE
-//     "next wheel tick" notification event per non-empty horizon instead of
-//     one event per timer.
-//   * kLazy   — deadline-check-on-probe: arming is a plain store into an
-//     engine-local heap with ZERO event-list traffic; due timers fire when
-//     the engine touches the service (poll()), backed by a coarse sweep
-//     tick as the liveness backstop.
-//
-// Determinism contract (the ordering argument, in full in docs/timers.md):
-// scenario payloads are byte-identical across all three strategies because
-//   1. due timers always fire in (deadline, arm-seq) order, whatever
-//      structure held them;
-//   2. every engine event handler calls poll() on entry, so any observer of
-//      timer-guarded state sees every timer with deadline <= its own
-//      timestamp already fired — the protocol state a reader observes is a
-//      pure function of simulated time, not of which strategy's machinery
-//      (dedicated event, wheel tick, sweep, or the reader's own poll)
-//      happened to deliver the firing;
+// Ordering contract (argued in full in docs/timers.md):
+//   1. due timers always fire in (deadline, arm-seq) order;
+//   2. every engine event handler calls poll() on entry. The notification
+//      event for instant T can sit behind other events at T in the event
+//      list, so without the poll a handler at T could observe a timer
+//      whose deadline has passed (pending() already false) with its
+//      callback not yet run. Polling on entry makes the protocol state a
+//      handler reads a pure function of simulated time;
 //   3. timer callbacks are "message-silent": they mutate engine state and
 //      may re-arm timers, but must not send transport messages, schedule
-//      non-timer simulator events, or read Simulator::now() — they receive
-//      their own deadline instead, so a callback that runs late (lazy sweep)
-//      executes bit-identically to one that ran exactly on time.
+//      non-timer simulator events, or read Simulator::now(). They receive
+//      their own deadline instead, so a firing delivered by a handler's
+//      poll() runs exactly like one delivered by the notification event.
 // Timers whose firing must emit messages (the async engine's response
 // timeout) deliberately stay plain simulator events.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <queue>
-#include <string_view>
 #include <vector>
 
 #include "sim/simulator.hpp"
@@ -52,22 +37,10 @@
 
 namespace p2ps::sim {
 
-enum class TimerStrategy : std::uint8_t { kEvents, kWheel, kLazy };
-
-/// CLI/log spelling of a strategy: "events", "wheel" or "lazy".
-[[nodiscard]] std::string_view to_string(TimerStrategy strategy);
-
-/// Parses "events" / "wheel" / "lazy"; nullopt for anything else.
-[[nodiscard]] std::optional<TimerStrategy> parse_timer_strategy(
-    std::string_view name);
-
-struct TimerConfig {
-  TimerStrategy strategy = TimerStrategy::kWheel;
-  /// kLazy: the sweep-tick period — the only liveness backstop between
-  /// engine touches. Pure mechanics: a larger period batches more firings
-  /// per poll but cannot change simulation output (see the contract above).
-  util::SimTime lazy_sweep_period = util::SimTime::minutes(5);
-};
+/// Carries no settings: the wheel is the only timer structure. Kept so
+/// that callers passing `TimerConfig{}` (perfbench/layers.cpp) still
+/// compile.
+struct TimerConfig {};
 
 struct TimerIdTag {};
 
@@ -78,17 +51,15 @@ using TimerId = util::StrongId<TimerIdTag>;
 
 class TimerService {
  public:
-  /// Fired with the timer's own deadline (which the lazy strategies may
-  /// reach after simulated time has moved on — never read now() here).
+  /// Fired with the timer's own deadline (which a handler's poll() may
+  /// reach after other events at that instant — never read now() here).
   using Callback = std::function<void(util::SimTime deadline)>;
 
   /// Ties the service to `simulator`, which must outlive it.
-  explicit TimerService(Simulator& simulator, TimerConfig config = {});
+  explicit TimerService(Simulator& simulator, TimerConfig = {});
   ~TimerService();
   TimerService(const TimerService&) = delete;
   TimerService& operator=(const TimerService&) = delete;
-
-  [[nodiscard]] TimerStrategy strategy() const { return config_.strategy; }
 
   /// The simulator clock, for callers that anchor deadlines without
   /// holding the simulator themselves.
@@ -123,10 +94,9 @@ class TimerService {
   [[nodiscard]] bool pending(TimerId id) const;
 
   /// Fires every timer with deadline <= now, in (deadline, arm-seq) order.
-  /// Engines call this on entry to every event handler (deadline-check-on-
-  /// probe); the strategies' own machinery (dedicated events, wheel
-  /// notifications, the lazy sweep) funnels into the same call. Cheap when
-  /// nothing is due: one comparison.
+  /// Engines call this on entry to every event handler; the wheel's
+  /// notification event funnels into the same call. Cheap when nothing is
+  /// due: one comparison.
   void poll() {
     if (next_due_ > simulator_.now()) return;
     dispatch();
@@ -136,8 +106,8 @@ class TimerService {
   [[nodiscard]] std::size_t armed() const { return armed_; }
   /// Timers fired over the service's lifetime.
   [[nodiscard]] std::uint64_t fired() const { return fired_; }
-  /// Timer-tagged simulator events scheduled by this service — the event
-  /// traffic the wheel and lazy strategies exist to remove.
+  /// Timer-tagged simulator events scheduled by this service: the wheel's
+  /// notification events.
   [[nodiscard]] std::uint64_t events_scheduled() const {
     return events_scheduled_;
   }
@@ -147,14 +117,14 @@ class TimerService {
     Callback cb;
     util::SimTime deadline = util::SimTime::zero();
     std::uint64_t seq = 0;  ///< bumped on every arm/rearm; keys staleness
-    EventId event = EventId::invalid();  ///< kEvents: the dedicated event
     std::uint32_t generation = 0;
     std::uint32_t next_free = kNoSlot;
     bool armed = false;
   };
 
-  /// One reference to a (possibly stale) timer inside a heap, wheel slot or
-  /// scratch list; authoritative iff the slab slot still carries `seq`.
+  /// One reference to a (possibly stale) timer inside a wheel slot, the due
+  /// heap or a scratch list; authoritative iff the slab slot still carries
+  /// `seq`.
   struct Entry {
     util::SimTime deadline;
     std::uint64_t seq;
@@ -196,21 +166,20 @@ class TimerService {
   std::uint32_t acquire_slot();
   void release_slot(std::uint32_t index);
 
-  /// Files an armed slot into the strategy's index structure and maintains
-  /// next_due_ plus the notification machinery.
+  /// Files an armed slot into the wheel (or the running drain) and
+  /// maintains next_due_.
   void index_timer(std::uint32_t slot_index);
   /// Fires every due timer; loops until nothing with deadline <= now
   /// remains (callbacks may arm new timers).
   void dispatch();
-  /// Strategy-specific: moves every live entry with deadline <= now into
-  /// `out` (unsorted; stale entries already dropped).
-  void collect_due(util::SimTime now, std::vector<Entry>& out);
   /// Recomputes next_due_ (a lower bound on the earliest live deadline)
-  /// and re-arms the strategy's notification event when needed.
+  /// and re-arms the notification event when needed.
   void refresh_notification();
 
   // -- wheel internals --
   void wheel_file(const Entry& entry);
+  /// Moves every live entry with deadline <= now into `out` (unsorted;
+  /// stale entries already dropped).
   void wheel_collect_due(std::int64_t now_ms, std::vector<Entry>& out);
   /// Refiles every live entry of `from` into the wheel (stale ones drop),
   /// handing the vector's capacity back when it ends up empty.
@@ -239,7 +208,6 @@ class TimerService {
   }
 
   Simulator& simulator_;
-  TimerConfig config_;
 
   std::vector<Slot> slots_;
   std::uint32_t free_head_ = kNoSlot;
@@ -252,10 +220,7 @@ class TimerService {
   /// poll() fast path.
   util::SimTime next_due_ = util::SimTime::max();
 
-  // kEvents + kLazy: lazy-deletion min-heap of (deadline, seq) entries.
-  std::priority_queue<Entry, std::vector<Entry>, Later> heap_;
-
-  // kWheel: per-level slot lists + occupancy bitmaps. wheel_time_ is the
+  // Per-level slot lists + occupancy bitmaps. wheel_time_ is the
   // instant up to which dues have been collected (entries with deadline <
   // wheel_time_ are gone); due_now_ catches arms at the current instant.
   std::vector<std::vector<Entry>> wheel_;  // kLevels * kSlots, flattened
@@ -264,11 +229,9 @@ class TimerService {
   std::vector<Entry> overflow_;
   std::vector<Entry> due_now_;
 
-  // Notification machinery: kWheel keeps one event at next_due_; kLazy
-  // keeps one self-rescheduling sweep tick while timers are armed.
+  // The one notification event, kept at next_due_ while timers are armed.
   EventId notify_event_ = EventId::invalid();
   util::SimTime notify_time_ = util::SimTime::max();
-  EventId sweep_event_ = EventId::invalid();
 
   std::vector<Entry> scratch_;  ///< due-collection buffer (reused)
   /// Due set under dispatch, drained in (deadline, seq) order. Callbacks

@@ -127,47 +127,6 @@ TEST(CatalogEngine, DeterministicForSameSeed) {
   }
 }
 
-TEST(CatalogEngine, TimerStrategiesAgreeOnEveryProtocolResult) {
-  // The catalog engine has no registered scenario, so the registry-wide
-  // timer-parity test does not cover it; pin the contract here: every
-  // non-mechanics result is identical under all three strategies.
-  std::vector<engine::CatalogResult> runs;
-  for (const sim::TimerStrategy strategy :
-       {sim::TimerStrategy::kEvents, sim::TimerStrategy::kWheel,
-        sim::TimerStrategy::kLazy}) {
-    auto config = small_catalog(11);
-    config.timers.strategy = strategy;
-    runs.push_back(engine::CatalogStreamingSystem(config).run());
-  }
-  const auto& reference = runs.front();
-  EXPECT_GT(reference.overall.overall.admissions, 0);
-  for (std::size_t i = 1; i < runs.size(); ++i) {
-    const auto& run = runs[i];
-    EXPECT_EQ(run.overall.overall.admissions, reference.overall.overall.admissions);
-    EXPECT_EQ(run.overall.overall.rejections, reference.overall.overall.rejections);
-    EXPECT_EQ(run.overall.final_capacity, reference.overall.final_capacity);
-    EXPECT_EQ(run.overall.suppliers_at_end, reference.overall.suppliers_at_end);
-    EXPECT_EQ(run.overall.sessions_completed, reference.overall.sessions_completed);
-    ASSERT_EQ(run.per_file.size(), reference.per_file.size());
-    for (std::size_t f = 0; f < run.per_file.size(); ++f) {
-      EXPECT_EQ(run.per_file[f].requests, reference.per_file[f].requests);
-      EXPECT_EQ(run.per_file[f].admissions, reference.per_file[f].admissions);
-      EXPECT_EQ(run.per_file[f].suppliers, reference.per_file[f].suppliers);
-      EXPECT_EQ(run.per_file[f].capacity, reference.per_file[f].capacity);
-    }
-    ASSERT_EQ(run.overall.hourly.size(), reference.overall.hourly.size());
-    for (std::size_t h = 0; h < run.overall.hourly.size(); ++h) {
-      EXPECT_EQ(run.overall.hourly[h].capacity,
-                reference.overall.hourly[h].capacity);
-    }
-  }
-  // The strategies differ exactly where they should: the events baseline
-  // carries one pending simulator event per armed timer at its peak.
-  EXPECT_GT(runs[0].overall.peak_event_list_timers, 1);
-  EXPECT_LE(runs[1].overall.peak_event_list_timers, 1);
-  EXPECT_LE(runs[2].overall.peak_event_list_timers, 1);
-}
-
 TEST(CatalogEngine, SingleFileDegeneratesToBaseSystem) {
   auto config = small_catalog();
   config.files = 1;

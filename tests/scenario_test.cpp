@@ -197,38 +197,6 @@ TEST(RunScenario, EveryScenarioIsByteIdenticalAcrossEventListBackends) {
   EXPECT_GE(checked, 24u);  // 22 pre-existing + the policy/study family
 }
 
-// The TimerService acceptance criterion: every registered scenario must
-// emit byte-identical JSON under all three --timers strategies once the
-// event-core mechanics counters (the fields the strategies exist to
-// change) are normalized away by strip_event_mechanics. docs/timers.md
-// carries the ordering argument for why nothing else can differ.
-TEST(RunScenario, EveryScenarioIsByteIdenticalAcrossTimerStrategies) {
-  register_all_scenarios();
-  ScenarioOptions base;
-  base.seed = 2002;
-  base.scale = 100;  // keep the populations small and fast
-  std::size_t checked = 0;
-  for (const auto* scenario : Registry::instance().list()) {
-    std::string reference;
-    for (const sim::TimerStrategy strategy :
-         {sim::TimerStrategy::kEvents, sim::TimerStrategy::kWheel,
-          sim::TimerStrategy::kLazy}) {
-      ScenarioOptions options = base;
-      options.timers = strategy;
-      const std::string run =
-          strip_event_mechanics(run_scenario(scenario->name, options).dump());
-      if (reference.empty()) {
-        reference = run;
-      } else {
-        EXPECT_EQ(reference, run)
-            << scenario->name << " under " << to_string(strategy);
-      }
-    }
-    ++checked;
-  }
-  EXPECT_GE(checked, 24u);
-}
-
 // The policy-lab acceptance criterion: a --policy override must preserve
 // byte-determinism across event-list backends for every registered policy,
 // session-level and message-level engines alike (randomized policies draw

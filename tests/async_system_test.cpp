@@ -157,5 +157,17 @@ TEST(AsyncEngine, MessageVolumeIsProportionalToAttempts) {
   EXPECT_GT(transport.delivered(), 0u);
 }
 
+// Supplier idle timers, admission holds and session watchdogs all ride one
+// TimerService; the timing wheel keeps at most one notification event for
+// all of them in the simulator's list.
+TEST(AsyncEngine, TimerEventsOccupyAtMostOneEventListSlot) {
+  AsyncStreamingSystem system(small_config());
+  const auto result = system.run();
+  EXPECT_GT(result.suppliers_at_end, 20);
+  EXPECT_GT(system.timer_service().fired(), 0u);
+  EXPECT_LE(result.peak_event_list_timers, 1);
+  EXPECT_GT(result.peak_event_list, result.peak_event_list_timers);
+}
+
 }  // namespace
 }  // namespace p2ps::engine

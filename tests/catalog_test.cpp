@@ -2,9 +2,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
 #include <vector>
 
 #include "engine/catalog_system.hpp"
+#include "obs/telemetry.hpp"
 #include "util/assert.hpp"
 #include "workload/zipf.hpp"
 
@@ -125,6 +127,58 @@ TEST(CatalogEngine, DeterministicForSameSeed) {
     EXPECT_EQ(a.per_file[f].requests, b.per_file[f].requests);
     EXPECT_EQ(a.per_file[f].capacity, b.per_file[f].capacity);
   }
+}
+
+/// Every non-mechanics result of two catalog runs must agree.
+void expect_same_protocol_results(const engine::CatalogResult& run,
+                                  const engine::CatalogResult& reference) {
+  EXPECT_EQ(run.overall.overall.admissions, reference.overall.overall.admissions);
+  EXPECT_EQ(run.overall.overall.rejections, reference.overall.overall.rejections);
+  EXPECT_EQ(run.overall.final_capacity, reference.overall.final_capacity);
+  EXPECT_EQ(run.overall.suppliers_at_end, reference.overall.suppliers_at_end);
+  EXPECT_EQ(run.overall.sessions_completed, reference.overall.sessions_completed);
+  EXPECT_EQ(run.overall.events_executed, reference.overall.events_executed);
+  ASSERT_EQ(run.per_file.size(), reference.per_file.size());
+  for (std::size_t f = 0; f < run.per_file.size(); ++f) {
+    EXPECT_EQ(run.per_file[f].requests, reference.per_file[f].requests);
+    EXPECT_EQ(run.per_file[f].admissions, reference.per_file[f].admissions);
+    EXPECT_EQ(run.per_file[f].suppliers, reference.per_file[f].suppliers);
+    EXPECT_EQ(run.per_file[f].capacity, reference.per_file[f].capacity);
+  }
+  ASSERT_EQ(run.overall.hourly.size(), reference.overall.hourly.size());
+  for (std::size_t h = 0; h < run.overall.hourly.size(); ++h) {
+    EXPECT_EQ(run.overall.hourly[h].capacity, reference.overall.hourly[h].capacity);
+  }
+}
+
+// Every supplier keeps an idle-elevation timer armed, so dozens are armed
+// at once; the timing wheel still holds at most one notification event in
+// the simulator's list.
+TEST(CatalogEngine, TimerEventsOccupyAtMostOneEventListSlot) {
+  const auto result = engine::CatalogStreamingSystem(small_catalog(11)).run();
+  EXPECT_GT(result.overall.overall.admissions, 0);
+  EXPECT_GT(result.overall.suppliers_at_end, 20);
+  EXPECT_LE(result.overall.peak_event_list_timers, 1);
+  EXPECT_GT(result.overall.peak_event_list, result.overall.peak_event_list_timers);
+}
+
+// The catalog engine has no registered scenario, so the registry-wide
+// telemetry parity test does not cover it: attaching a telemetry sink
+// (snapshot at every sample) must leave every protocol result unchanged.
+TEST(CatalogEngine, TelemetryLeavesEveryProtocolResultUnchanged) {
+  const auto reference = engine::CatalogStreamingSystem(small_catalog(11)).run();
+  obs::TelemetryOptions options;
+  options.path = ::testing::TempDir() + "catalog_telemetry.jsonl";
+  options.interval_ms = 0;
+  options.heartbeat = false;
+  obs::Telemetry telemetry(std::move(options));
+  ASSERT_TRUE(telemetry.ok());
+  auto config = small_catalog(11);
+  config.telemetry = &telemetry;
+  const auto instrumented = engine::CatalogStreamingSystem(config).run();
+  expect_same_protocol_results(instrumented, reference);
+  EXPECT_GT(telemetry.snapshots(), 0);
+  EXPECT_GT(telemetry.registry().aggregate("timers_fired"), 0);
 }
 
 TEST(CatalogEngine, SingleFileDegeneratesToBaseSystem) {

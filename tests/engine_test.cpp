@@ -91,6 +91,16 @@ TEST(Engine, BufferingDelayIsAtLeastTwoSuppliers) {
   }
 }
 
+// Every idle supplier keeps an idle-elevation timer armed; the timing
+// wheel holds at most one notification event for all of them.
+TEST(Engine, TimerEventsOccupyAtMostOneEventListSlot) {
+  StreamingSystem system(small_config());
+  const auto result = system.run();
+  EXPECT_GT(result.suppliers_at_end, 20);
+  EXPECT_LE(result.peak_event_list_timers, 1);
+  EXPECT_GT(result.peak_event_list, result.peak_event_list_timers);
+}
+
 TEST(Engine, RunTwiceThrows) {
   StreamingSystem system(small_config());
   (void)system.run();

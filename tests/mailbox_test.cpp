@@ -232,6 +232,105 @@ TEST(MailboxRouter, ZeroLatencySendFromADrainGetsItsOwnLaterEvent) {
   EXPECT_EQ(router.drains(), 2u);
 }
 
+TEST(MailboxRouter, ZeroLatencyDeliversAtTheSendInstant) {
+  sim::Simulator simulator;
+  MailboxRouter<int> router(simulator, fixed_config(0), util::Rng(12));
+  SimTime seen = SimTime::max();
+  router.attach(PeerId{2}, [&](const Envelope<int>&) { seen = simulator.now(); });
+  simulator.schedule_at(SimTime::seconds(3),
+                        [&] { router.send(PeerId{1}, PeerId{2}, 1); });
+  simulator.run();
+  EXPECT_EQ(seen, SimTime::seconds(3));
+  EXPECT_EQ(router.delivered(), 1u);
+}
+
+// Batching must not change what any single receiver sees: per destination,
+// deliveries arrive in (delivery tick, send order) — the order one
+// simulator event per message would give. Randomized cascade: handlers
+// forward to random peers, half-latency 0 between ethernet peers makes
+// zero-latency sends from inside a drain common, and loss drops some
+// sends. The model is the list of accepted sends, sorted per destination.
+TEST(MailboxRouter, PerReceiverOrderMatchesAPerMessageModel) {
+  struct Hop {
+    int id = 0;
+    int depth = 0;
+  };
+  struct Delivery {
+    std::int64_t at_ms = 0;
+    std::uint64_t from = 0;
+    int id = 0;
+    bool operator==(const Delivery&) const = default;
+  };
+  constexpr std::uint64_t kPeers = 6;
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
+    sim::Simulator simulator;
+    MailboxConfig config;
+    config.latency.kind = LatencyModelKind::kTwoClass;
+    config.latency.ethernet_half = SimTime::zero();
+    config.latency.modem_half = SimTime::millis(5);
+    config.drop_probability = 0.1;
+    MailboxRouter<Hop> router(simulator, config, util::Rng(seed));
+    const auto half_ms = [](std::uint64_t peer) { return peer <= 3 ? 0 : 5; };
+
+    util::Rng traffic(seed + 100);
+    int next_id = 0;
+    std::uint64_t rejected = 0;
+    // Model input: (destination, tick, id, from) of every send the router
+    // accepted; ids count up in send order.
+    std::vector<std::tuple<std::uint64_t, std::int64_t, int, std::uint64_t>>
+        accepted;
+    std::vector<std::vector<Delivery>> seen(kPeers + 1);
+    const auto send = [&](std::uint64_t from, std::uint64_t to, int depth) {
+      const int id = next_id++;
+      if (router.send(PeerId{from}, PeerId{to}, Hop{id, depth})) {
+        accepted.emplace_back(
+            to, simulator.now().as_millis() + half_ms(from) + half_ms(to),
+            id, from);
+      } else {
+        ++rejected;
+      }
+    };
+    const auto random_peer = [&] {
+      return 1 + traffic.uniform_below(kPeers);
+    };
+    for (std::uint64_t peer = 1; peer <= kPeers; ++peer) {
+      router.set_peer_class(PeerId{peer}, peer <= 3 ? 1 : 4);
+      router.attach(PeerId{peer}, [&, peer](const Envelope<Hop>& envelope) {
+        EXPECT_EQ(envelope.to, PeerId{peer});
+        seen[peer].push_back(Delivery{simulator.now().as_millis(),
+                                      envelope.from.value(),
+                                      envelope.payload.id});
+        if (envelope.payload.depth >= 3) return;
+        const auto fanout = traffic.uniform_int(0, 2);
+        for (std::int64_t i = 0; i < fanout; ++i) {
+          send(peer, random_peer(), envelope.payload.depth + 1);
+        }
+      });
+    }
+    for (const std::int64_t at_ms : {0, 0, 5, 7, 10, 10}) {
+      simulator.schedule_at(SimTime::millis(at_ms), [&] {
+        for (int i = 0; i < 4; ++i) send(random_peer(), random_peer(), 0);
+      });
+    }
+    simulator.run();
+
+    std::sort(accepted.begin(), accepted.end());
+    std::vector<std::vector<Delivery>> expected(kPeers + 1);
+    for (const auto& [to, tick, id, from] : accepted) {
+      expected[to].push_back(Delivery{tick, from, id});
+    }
+    for (std::uint64_t peer = 1; peer <= kPeers; ++peer) {
+      EXPECT_EQ(seen[peer], expected[peer]) << "seed " << seed << " peer " << peer;
+    }
+    EXPECT_GT(accepted.size(), 40u) << "seed " << seed;
+    EXPECT_EQ(router.delivered(), accepted.size());
+    EXPECT_EQ(router.dropped(), rejected);
+    EXPECT_EQ(router.sent(), accepted.size() + rejected);
+    EXPECT_EQ(router.drains(), router.events_scheduled());
+    EXPECT_LT(router.events_scheduled(), router.delivered());
+  }
+}
+
 TEST(EnvelopePool, SteadyStateReusesInboxesInsteadOfAllocating) {
   sim::Simulator simulator;
   MailboxRouter<int> router(simulator, fixed_config(10), util::Rng(10));

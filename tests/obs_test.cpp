@@ -662,6 +662,39 @@ TEST(RunScenario, EveryScenarioIsByteIdenticalWithTelemetryOnOrOff) {
   EXPECT_GE(checked, 24u);
 }
 
+// docs/determinism.md: --watchdog off is, like the default warn, an
+// execution knob. Rules that would trip on every snapshot must stay
+// silent under off, and every registered scenario's payload must match
+// the un-instrumented run byte for byte.
+TEST(RunScenario, EveryScenarioIsByteIdenticalWithTheWatchdogOff) {
+  scenario::register_all_scenarios();
+  scenario::ScenarioOptions bare;
+  bare.seed = 2002;
+  bare.scale = 100;
+  std::size_t checked = 0;
+  for (const auto* sc : scenario::Registry::instance().list()) {
+    const std::string reference = scenario::run_scenario(sc->name, bare).dump();
+    obs::TelemetryOptions telemetry_options;
+    telemetry_options.path = temp_path("obs_watchdog_off.jsonl");
+    telemetry_options.interval_ms = 0;
+    telemetry_options.heartbeat = false;
+    telemetry_options.watchdog.action = obs::WatchdogAction::kOff;
+    telemetry_options.watchdog.min_interval_attempts = 1;
+    telemetry_options.watchdog.min_admission_rate = 1.1;
+    telemetry_options.watchdog.min_event_list = 0;
+    telemetry_options.watchdog.growth_factor = 0.0;
+    obs::Telemetry telemetry(std::move(telemetry_options));
+    ASSERT_TRUE(telemetry.ok());
+    scenario::ScenarioOptions instrumented = bare;
+    instrumented.telemetry = &telemetry;
+    EXPECT_EQ(scenario::run_scenario(sc->name, instrumented).dump(), reference)
+        << sc->name;
+    EXPECT_EQ(telemetry.watchdog().trips(), 0) << sc->name;
+    ++checked;
+  }
+  EXPECT_GE(checked, 24u);
+}
+
 // And across shard/thread counts WITH telemetry attached: instrumentation
 // must not reintroduce partition sensitivity.
 TEST(RunScenario, ShardedScenarioStaysPartitionInvariantUnderTelemetry) {

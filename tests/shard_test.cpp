@@ -11,9 +11,12 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
+#include <initializer_list>
 #include <map>
 #include <memory>
+#include <optional>
 #include <queue>
+#include <regex>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -28,6 +31,7 @@
 #include "engine/sharded_system.hpp"
 #include "net/latency.hpp"
 #include "net/shard_router.hpp"
+#include "obs/telemetry.hpp"
 #include "scenario/scenario.hpp"
 #include "sim/event_list.hpp"
 #include "sim/shard_runner.hpp"
@@ -1050,6 +1054,85 @@ TEST(ShardedScenarios, MechanicsBlockAppearsOnlyBehindTheFlag) {
                           "\"pool_reuses\"", "\"windows_idle_skipped\""}) {
     EXPECT_EQ(plain.find(key), std::string::npos) << key;
     EXPECT_NE(with_mechanics.find(key), std::string::npos) << key;
+  }
+}
+
+/// Sets the value after `"key":` to 0 for every listed key of a compact
+/// payload — the --mechanics fields a knob is allowed to change.
+std::string zero_fields(std::string json, std::initializer_list<const char*> keys) {
+  for (const char* key : keys) {
+    const std::string quoted = '"' + std::string(key) + "\":";
+    json = std::regex_replace(json, std::regex(quoted + "-?[0-9.eE+]+"),
+                              quoted + "0");
+  }
+  return json;
+}
+
+/// msg_fig5_sharded at scale 100 with its --mechanics block, minus the two
+/// fields that measure the process rather than the run.
+std::string mechanics_payload(scenario::ScenarioOptions options) {
+  options.seed = 2002;
+  options.scale = 100;
+  options.mechanics = true;
+  const std::string payload =
+      scenario::run_scenario("msg_fig5_sharded", options).dump();
+  EXPECT_NE(payload.find("\"per_shard\""), std::string::npos);
+  return zero_fields(payload, {"peak_rss_bytes", "bytes_per_peer"});
+}
+
+// docs/determinism.md: the event-list backend changes no --mechanics field
+// (per-shard events and peaks, windows, cross-shard and pool counters).
+TEST(ShardedScenarios, MechanicsBlockIsIdenticalAcrossEventListBackends) {
+  for (const int shards : {1, 4}) {
+    scenario::ScenarioOptions heap;
+    heap.shards = shards;
+    heap.event_list = sim::EventListKind::kBinaryHeap;
+    scenario::ScenarioOptions calendar = heap;
+    calendar.event_list = sim::EventListKind::kCalendarQueue;
+    EXPECT_EQ(mechanics_payload(heap), mechanics_payload(calendar))
+        << shards << " shards";
+  }
+}
+
+// docs/determinism.md: --fusion changes only its echo and the dispatch
+// accounting (windows, windows_fused); every other --mechanics field is
+// a property of the executed sub-window sequence, which fusion keeps.
+TEST(ShardedScenarios, MechanicsBlockIsFusionInvariantOutsideTheDispatchAccounting) {
+  std::vector<std::string> runs;
+  for (const std::optional<int> fusion :
+       {std::optional<int>{1}, std::optional<int>{}, std::optional<int>{32}}) {
+    scenario::ScenarioOptions options;
+    options.shards = 4;
+    options.fusion = fusion;
+    runs.push_back(mechanics_payload(options));
+  }
+  EXPECT_NE(runs.front(), runs.back()) << "fusion changed no dispatch counter";
+  const auto invariant = [](const std::string& run) {
+    return zero_fields(run, {"fusion", "windows", "windows_fused"});
+  };
+  for (std::size_t i = 1; i < runs.size(); ++i) {
+    EXPECT_EQ(invariant(runs[i]), invariant(runs.front())) << "run " << i;
+  }
+}
+
+// docs/determinism.md: attaching telemetry (snapshot at every barrier)
+// changes no --mechanics field, at one and at several threads.
+TEST(ShardedScenarios, MechanicsBlockIsIdenticalWithTelemetryOnOrOff) {
+  for (const int threads : {1, 3}) {
+    scenario::ScenarioOptions bare;
+    bare.shards = 4;
+    bare.shard_threads = threads;
+    obs::TelemetryOptions telemetry_options;
+    telemetry_options.path = ::testing::TempDir() + "shard_mechanics_telemetry.jsonl";
+    telemetry_options.interval_ms = 0;
+    telemetry_options.heartbeat = false;
+    obs::Telemetry telemetry(std::move(telemetry_options));
+    ASSERT_TRUE(telemetry.ok());
+    scenario::ScenarioOptions instrumented = bare;
+    instrumented.telemetry = &telemetry;
+    EXPECT_EQ(mechanics_payload(instrumented), mechanics_payload(bare))
+        << threads << " threads";
+    EXPECT_GT(telemetry.snapshots(), 0);
   }
 }
 

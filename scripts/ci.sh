@@ -27,7 +27,7 @@ if [ "${sanitize}" = "thread" ]; then
   echo "==> thread sanitizer: configure + build shard_test, obs_test"
   cmake -B "${build_dir}" -S "${repo_root}" -DP2PS_WERROR=ON \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo -DP2PS_SANITIZE=thread \
-      -DP2PS_BUILD_BENCH=OFF -DP2PS_BUILD_EXAMPLES=OFF
+      -DP2PS_BUILD_EXAMPLES=OFF
   cmake --build "${build_dir}" -j "$(nproc)" --target shard_test obs_test
   for suite in shard_test obs_test; do
     echo "==> thread sanitizer: ${suite}"
@@ -163,24 +163,43 @@ if "${runner}" --sweep msg_flash_crowd --latencies warp --scales "${scale}" \
 fi
 
 # Removed-flag smoke: the timer wheel and batched delivery are the only
-# paths, so --timers and --transport are unknown flags now. Even their
-# former default values must be rejected with the usage error (exit 2),
-# on a single run and under --sweep, rather than silently ignored.
-echo "==> removed-flag smoke: --timers wheel / --transport batched exit 2"
-for removed in "--timers wheel" "--transport batched"; do
-  for mode in single sweep; do
+# paths, so --timers and --transport are unknown flags now, and so is the
+# --strip-mechanics filter. Even their former default values must be
+# rejected with the usage error (exit 2), on a single run and under
+# --sweep, rather than silently ignored.
+echo "==> removed-flag smoke: --timers wheel / --transport batched /" \
+     "--strip-mechanics exit 2"
+for removed in "--timers wheel" "--transport batched" "--strip-mechanics"; do
+  for run in "msg_flash_crowd --scale" "--sweep msg_flash_crowd --scales"; do
     status=0
-    # shellcheck disable=SC2086 — removed is deliberately word-split
-    if [ "${mode}" = single ]; then
-      "${runner}" msg_flash_crowd --scale "${scale}" --compact ${removed} \
-          > /dev/null 2>&1 || status=$?
-    else
-      "${runner}" --sweep msg_flash_crowd --scales "${scale}" --compact \
-          ${removed} > /dev/null 2>&1 || status=$?
-    fi
+    # shellcheck disable=SC2086 — run and removed are deliberately word-split
+    "${runner}" ${run} "${scale}" --compact ${removed} > /dev/null 2>&1 ||
+        status=$?
     if [ "${status}" -ne 2 ]; then
-      echo "FAIL: ${mode} run with removed flag '${removed}' exited" \
+      echo "FAIL: '${run} ${scale}' with removed flag '${removed}' exited" \
            "${status} (expected usage error 2)" >&2
+      exit 1
+    fi
+  done
+done
+
+# Seed/scale smoke: --seed/--scale and their sweep axes --seeds/--scales
+# share one parser, so a negative seed, a junk token or a zero scale is the
+# usage error (exit 2) naming the flag in both modes, never a silently
+# wrapped seed or a raw contract failure.
+echo "==> seed/scale smoke: junk --seed/--scale tokens exit 2 in both modes"
+for bad in "seed:-1" "seed:abc" "scale:2x" "scale:0"; do
+  flag="${bad%%:*}"
+  token="${bad#*:}"
+  for run in "fig1_assignment --${flag}" "--sweep fig1_assignment --${flag}s"; do
+    status=0
+    # shellcheck disable=SC2086 — run is deliberately word-split
+    "${runner}" ${run} "${token}" --compact \
+        > /dev/null 2> "${smoke_dir}/bad_int.err" || status=$?
+    if [ "${status}" -ne 2 ] ||
+        ! grep -q -- "--${flag}" "${smoke_dir}/bad_int.err"; then
+      echo "FAIL: '${run} ${token}' exited ${status}" \
+           "(expected usage error 2 naming the flag)" >&2
       exit 1
     fi
   done
@@ -420,5 +439,5 @@ fi
 
 echo "==> OK: build, tests, ${count}-scenario smoke pass, perf smoke," \
      "message smoke, sweep smoke, latency-axis smoke, removed-flag smoke," \
-     "loss-axis smoke, policy smoke, shard smoke, fusion smoke," \
+     "seed/scale smoke, loss-axis smoke, policy smoke, shard smoke, fusion smoke," \
      "memory smoke and telemetry smoke all green"

@@ -46,8 +46,7 @@ struct SimulationResult {
   std::int64_t peak_event_list_timers = 0;
   /// Process-wide peak resident set (getrusage ru_maxrss) read when the
   /// run finished; 0 when not captured. A process-level, run-varying
-  /// measurement — scenarios emit it only behind --mechanics, and
-  /// strip_event_mechanics() zeroes it for parity comparisons.
+  /// measurement — scenarios emit it only behind --mechanics.
   std::int64_t peak_rss_bytes = 0;
 
   /// Chord routing statistics (populated when lookup == kChord).

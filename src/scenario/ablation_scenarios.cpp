@@ -1,9 +1,8 @@
 // Protocol ablations as registered scenarios: transient/permanent churn
 // and defection, the reminder technique, and the supplier selection
-// policy. Each mirrors the corresponding bench/ablation_* harness. The
-// event-queue ablation is deliberately NOT a scenario — it measures
-// wall-clock throughput, which would violate the determinism contract; it
-// remains a bench binary.
+// policy. The heap-vs-calendar event-list comparison is deliberately NOT a
+// scenario: it measures wall-clock throughput, which would violate the
+// determinism contract. CHANGES.md records its last timing table.
 #include <string>
 #include <utility>
 #include <vector>

@@ -1,11 +1,12 @@
 // Paper figure/table reproductions as registered scenarios (Fig 1, 3–9,
-// Table 1, Theorem 1). Each mirrors the corresponding bench/ harness but
-// returns deterministic JSON instead of printing tables, so `p2ps_run`
-// (and CI) can track every figure from one binary.
+// Table 1, Theorem 1). Each returns deterministic JSON carrying every
+// number its figure plots, so `p2ps_run` (and CI) track every figure from
+// one binary; README.md lists what the paper reports for each.
 #include <algorithm>
 #include <cmath>
 #include <functional>
 #include <map>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -14,6 +15,7 @@
 #include "core/bandwidth.hpp"
 #include "core/ots.hpp"
 #include "engine/streaming_system.hpp"
+#include "metrics/collector.hpp"
 #include "scenario/scenario.hpp"
 #include "util/sim_time.hpp"
 
@@ -144,13 +146,21 @@ Json fig4_capacity(const ScenarioOptions& options) {
   return out;
 }
 
-Json per_class_rates(const engine::SimulationResult& result) {
-  Json rates = Json::array();
-  for (const auto& counters : result.totals) {
-    const auto rate = counters.admission_rate();
-    rates.push_back(opt_json(rate));
-  }
-  return rates;
+using ClassStat = std::optional<double> (metrics::ClassCounters::*)() const;
+
+// One statistic per class (index = class - 1), null where undefined.
+Json per_class(const std::vector<metrics::ClassCounters>& counters, ClassStat stat) {
+  Json values = Json::array();
+  for (const auto& c : counters) values.push_back(opt_json((c.*stat)()));
+  return values;
+}
+
+// The cumulative per-class `stat` every 8 h: Figures 5 and 6's curves.
+Json per_class_series(const engine::SimulationResult& result, const char* key,
+                      ClassStat stat) {
+  return hourly_series(result, 8, [&](Json& point, const metrics::HourlySample& s) {
+    point.set(key, per_class(s.per_class, stat));
+  });
 }
 
 Json fig5_admission_rate(const ScenarioOptions& options) {
@@ -163,12 +173,15 @@ Json fig5_admission_rate(const ScenarioOptions& options) {
           paper_config(options, workload::ArrivalPattern::kRampUpDown, false))
           .run();
   Json out = Json::object();
-  Json dac_json = result_to_json(dac);
-  dac_json.set("admission_rate_per_class", per_class_rates(dac));
-  Json ndac_json = result_to_json(ndac);
-  ndac_json.set("admission_rate_per_class", per_class_rates(ndac));
-  out.set("dac", std::move(dac_json));
-  out.set("ndac", std::move(ndac_json));
+  constexpr ClassStat kRate = &metrics::ClassCounters::admission_rate;
+  const auto summary = [](const engine::SimulationResult& result) {
+    Json json = result_to_json(result);
+    json.set("admission_rate_per_class", per_class(result.totals, kRate));
+    json.set("admission_rate_series", per_class_series(result, "admission_rate", kRate));
+    return json;
+  };
+  out.set("dac", summary(dac));
+  out.set("ndac", summary(ndac));
   return out;
 }
 
@@ -181,19 +194,14 @@ Json fig6_buffering_delay(const ScenarioOptions& options) {
       engine::StreamingSystem(
           paper_config(options, workload::ArrivalPattern::kRampUpDown, false))
           .run();
-  const auto delays = [](const engine::SimulationResult& result) {
-    Json out = Json::array();
-    for (const auto& counters : result.totals) {
-      const auto delay = counters.mean_delay_dt();
-      out.push_back(opt_json(delay));
-    }
-    return out;
-  };
+  constexpr ClassStat kDelay = &metrics::ClassCounters::mean_delay_dt;
   Json out = Json::object();
-  out.set("dac_mean_delay_dt_per_class", delays(dac));
-  out.set("ndac_mean_delay_dt_per_class", delays(ndac));
+  out.set("dac_mean_delay_dt_per_class", per_class(dac.totals, kDelay));
+  out.set("ndac_mean_delay_dt_per_class", per_class(ndac.totals, kDelay));
   out.set("dac_final_capacity", dac.final_capacity);
   out.set("ndac_final_capacity", ndac.final_capacity);
+  out.set("dac_mean_delay_dt_series", per_class_series(dac, "mean_delay_dt", kDelay));
+  out.set("ndac_mean_delay_dt_series", per_class_series(ndac, "mean_delay_dt", kDelay));
   return out;
 }
 
@@ -219,6 +227,13 @@ Json fig7_adaptivity(const ScenarioOptions& options) {
   return out;
 }
 
+// Capacity every 12 h: one curve of Figure 8.
+Json capacity_series_12h(const engine::SimulationResult& result) {
+  return hourly_series(result, 12, [](Json& point, const metrics::HourlySample& s) {
+    point.set("capacity", s.capacity);
+  });
+}
+
 Json fig8_parameters(const ScenarioOptions& options) {
   Json out = Json::object();
   Json m_sweep = Json::array();
@@ -231,6 +246,7 @@ Json fig8_parameters(const ScenarioOptions& options) {
     entry.set("m_candidates", m);
     entry.set("final_capacity", result.final_capacity);
     entry.set("admissions", result.overall.admissions);
+    entry.set("capacity_series", capacity_series_12h(result));
     m_sweep.push_back(std::move(entry));
   }
   out.set("m_sweep", std::move(m_sweep));
@@ -243,6 +259,7 @@ Json fig8_parameters(const ScenarioOptions& options) {
     entry.set("t_out_minutes", minutes);
     entry.set("final_capacity", result.final_capacity);
     entry.set("admissions", result.overall.admissions);
+    entry.set("capacity_series", capacity_series_12h(result));
     t_out_sweep.push_back(std::move(entry));
   }
   out.set("t_out_sweep", std::move(t_out_sweep));
@@ -262,6 +279,16 @@ Json fig9_backoff(const ScenarioOptions& options) {
     entry.set("admissions", result.overall.admissions);
     entry.set("rejections", result.overall.rejections);
     entry.set("final_capacity", result.final_capacity);
+    // Figure 9's curve: the all-class cumulative admission rate every 8 h.
+    entry.set("admission_rate_series",
+              hourly_series(result, 8, [](Json& point, const metrics::HourlySample& s) {
+                metrics::ClassCounters all;
+                for (const auto& c : s.per_class) {
+                  all.first_requests += c.first_requests;
+                  all.admissions += c.admissions;
+                }
+                point.set("admission_rate", opt_json(all.admission_rate()));
+              }));
     sweep.push_back(std::move(entry));
   }
   Json out = Json::object();

@@ -20,9 +20,6 @@
 //                                        maps a tripped rule to exit 3)
 //            [--out FILE]                also write the JSON to FILE
 //            [--compact]                 single-line JSON (default: pretty)
-//   p2ps_run --strip-mechanics           filter: zero the event-core
-//                                        mechanics counters in JSON read
-//                                        from stdin (scripts/ci.sh parity)
 //   p2ps_run --sweep <scenario...>       parameter study: run the cross
 //            [--scenarios a,b]           product of scenarios × seeds ×
 //            [--seeds 1,2] [--scales D,E] scales × backends × latencies ×
@@ -41,7 +38,6 @@
 #include <iomanip>
 #include <iostream>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -89,7 +85,6 @@ int usage(const std::string& program) {
                " [--latencies fixed,twoclass] [--losses 0,0.02]"
                " [--policies a,b] [--threads N]"
                " [--out FILE] [--compact]\n"
-            << "       " << program << " --strip-mechanics < payload.json\n"
             << "       " << program << " --list\n"
             << "policies: " << p2ps::core::selection_policy_names() << '\n';
   return 2;
@@ -165,18 +160,18 @@ std::optional<int> parse_positive_int(std::string_view flag,
   return static_cast<int>(out);
 }
 
-/// Parses one non-negative integer token of a CSV axis flag; reports a
-/// descriptive CLI error (matching the binary's other flag diagnostics)
-/// on junk or negative input instead of dying on a raw stoll.
-std::optional<std::int64_t> parse_axis_int(std::string_view axis,
-                                           const std::string& token) {
+/// Parses one integer token of --seed/--scale or of their sweep axes
+/// --seeds/--scales, so both modes share one parser; reports a CLI error
+/// naming the flag on junk or on a value below `min`.
+std::optional<std::int64_t> parse_axis_int(std::string_view flag,
+                                           const std::string& token,
+                                           std::int64_t min) {
   std::int64_t out = 0;
   const auto [ptr, ec] =
       std::from_chars(token.data(), token.data() + token.size(), out);
-  if (ec != std::errc{} || ptr != token.data() + token.size() || out < 0) {
-    std::cerr << "error: --" << axis
-              << " needs comma-separated non-negative integers, got '"
-              << token << "'\n";
+  if (ec != std::errc{} || ptr != token.data() + token.size() || out < min) {
+    std::cerr << "error: --" << flag << " needs integers >= " << min
+              << ", got '" << token << "'\n";
     return std::nullopt;
   }
   return out;
@@ -187,7 +182,7 @@ std::optional<std::int64_t> parse_axis_int(std::string_view axis,
 /// placed before a scenario name would swallow it ("p2ps_run --compact
 /// fig1", "p2ps_run --sweep fig5 fig8").
 constexpr std::string_view kBooleanFlags[] = {
-    "list", "help", "compact", "sweep", "mechanics", "strip-mechanics"};
+    "list", "help", "compact", "sweep", "mechanics"};
 
 bool is_boolean_flag(std::string_view name) {
   for (const std::string_view flag : kBooleanFlags) {
@@ -244,23 +239,8 @@ int main(int argc, char** argv) {
     const bool help = bool_flag("help");
     const bool compact = bool_flag("compact");
     const bool sweep = bool_flag("sweep");
-    const bool strip_mechanics = bool_flag("strip-mechanics");
     if (list) return list_scenarios();
     if (help) return usage(flags.program());
-
-    if (strip_mechanics) {
-      // Filter mode: normalize stdin's payload by zeroing the event-core
-      // mechanics counters (the shared obs/mechanics_schema.hpp key set)
-      // and echo it — the parity normalizer scripts/ci.sh pipes through.
-      for (const auto& unknown : flags.unused()) {
-        std::cerr << "error: unknown flag --" << unknown << '\n';
-        return 2;
-      }
-      std::ostringstream buffer;
-      buffer << std::cin.rdbuf();
-      std::cout << p2ps::scenario::strip_event_mechanics(buffer.str());
-      return 0;
-    }
 
     // Reject unwritable --out paths before the run — a paper-scale run (or
     // an 8-point sweep) is too expensive to discard on a typoed path — but
@@ -297,7 +277,7 @@ int main(int argc, char** argv) {
       if (const auto seeds = flags.value("seeds")) {
         spec.seeds.clear();
         for (const auto& token : p2ps::scenario::split_csv(*seeds)) {
-          const auto seed = parse_axis_int("seeds", token);
+          const auto seed = parse_axis_int("seeds", token, 0);
           if (!seed) return 2;
           spec.seeds.push_back(static_cast<std::uint64_t>(*seed));
         }
@@ -305,7 +285,7 @@ int main(int argc, char** argv) {
       if (const auto scales = flags.value("scales")) {
         spec.scales.clear();
         for (const auto& token : p2ps::scenario::split_csv(*scales)) {
-          const auto scale = parse_axis_int("scales", token);
+          const auto scale = parse_axis_int("scales", token, 1);
           if (!scale) return 2;
           spec.scales.push_back(*scale);
         }
@@ -362,11 +342,15 @@ int main(int argc, char** argv) {
       const std::string name = positionals.front();
 
       p2ps::scenario::ScenarioOptions options;
-      options.seed = static_cast<std::uint64_t>(flags.get_int("seed", 2002));
-      options.scale = flags.get_int("scale", 1);
-      if (options.scale < 1) {
-        std::cerr << "error: --scale must be >= 1\n";
-        return 2;
+      if (const auto seed = flags.value("seed")) {
+        const auto value = parse_axis_int("seed", *seed, 0);
+        if (!value) return 2;
+        options.seed = static_cast<std::uint64_t>(*value);
+      }
+      if (const auto scale = flags.value("scale")) {
+        const auto value = parse_axis_int("scale", *scale, 1);
+        if (!value) return 2;
+        options.scale = *value;
       }
       const std::string backend = flags.get_string("event-list", "heap");
       const auto kind = parse_backend(backend);

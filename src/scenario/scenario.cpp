@@ -1,12 +1,10 @@
 #include "scenario/scenario.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <string_view>
 #include <vector>
 
 #include "metrics/collector.hpp"
-#include "obs/mechanics_schema.hpp"
 #include "util/assert.hpp"
 #include "util/sim_time.hpp"
 
@@ -111,71 +109,6 @@ Json class_counters_to_json(const metrics::ClassCounters& counters) {
 
 }  // namespace
 
-std::string strip_event_mechanics(std::string json_text) {
-  // Zero the integer value after every `"<key>":` occurrence of the
-  // event-core mechanics counters. The key set is the one shared
-  // mechanics schema (obs/mechanics_schema.hpp) — a counter added there
-  // is stripped here automatically. The schema orders longer keys before
-  // their prefixes (compile-time checked), so the first match at the
-  // earliest position is the longest one: "peak_event_list" never matches
-  // inside its suffixed variants.
-  static const std::vector<std::string> kKeys = [] {
-    std::vector<std::string> keys;
-    const obs::MechanicsField* schema = obs::mechanics_schema();
-    keys.reserve(obs::mechanics_schema_size());
-    for (std::size_t i = 0; i < obs::mechanics_schema_size(); ++i) {
-      keys.push_back('"' + std::string(schema[i].key) + "\":");
-    }
-    return keys;
-  }();
-  std::string out;
-  out.reserve(json_text.size());
-  std::size_t pos = 0;
-  while (pos < json_text.size()) {
-    std::size_t best = std::string::npos;
-    std::size_t best_len = 0;
-    for (const std::string_view key : kKeys) {
-      const std::size_t at = json_text.find(key, pos);
-      if (at < best) {
-        best = at;
-        best_len = key.size();
-      }
-    }
-    if (best == std::string::npos) {
-      out.append(json_text, pos, std::string::npos);
-      break;
-    }
-    out.append(json_text, pos, best + best_len - pos);
-    pos = best + best_len;
-    // Tolerate pretty-printed input: swallow any whitespace between the
-    // colon and the value along with the digits, normalizing to ":0".
-    while (pos < json_text.size() &&
-           (json_text[pos] == ' ' || json_text[pos] == '\t' ||
-            json_text[pos] == '\n')) {
-      ++pos;
-    }
-    std::size_t digits = 0;
-    while (pos < json_text.size() &&
-           std::isdigit(static_cast<unsigned char>(json_text[pos]))) {
-      ++pos;
-      ++digits;
-    }
-    // A fractional part marks a floating-point counter (lookahead_avg_ms):
-    // swallow it with the integer part so the whole number normalizes.
-    if (digits > 0 && pos + 1 < json_text.size() && json_text[pos] == '.' &&
-        std::isdigit(static_cast<unsigned char>(json_text[pos + 1]))) {
-      ++pos;
-      while (pos < json_text.size() &&
-             std::isdigit(static_cast<unsigned char>(json_text[pos]))) {
-        ++pos;
-      }
-    }
-    // Only replace an actual numeric value; anything else passes through.
-    out.append(digits > 0 ? "0" : "");
-  }
-  return out;
-}
-
 Json result_to_json(const engine::SimulationResult& result, int series_step_hours) {
   Json out = Json::object();
   out.set("final_capacity", result.final_capacity);
@@ -190,8 +123,7 @@ Json result_to_json(const engine::SimulationResult& result, int series_step_hour
   out.set("peak_event_list_timers", result.peak_event_list_timers);
   out.set("peak_event_list_other",
           result.peak_event_list - result.peak_event_list_timers);
-  // Machine-dependent, populated only behind --mechanics (and stripped by
-  // strip_event_mechanics like the other event-core counters).
+  // Machine-dependent, populated only behind --mechanics.
   if (result.peak_rss_bytes > 0) {
     out.set("peak_rss_bytes", result.peak_rss_bytes);
   }
@@ -202,25 +134,33 @@ Json result_to_json(const engine::SimulationResult& result, int series_step_hour
   }
   out.set("per_class", std::move(per_class));
   if (!result.hourly.empty() && series_step_hours > 0) {
-    const int end_hour =
-        static_cast<int>(result.hourly.back().t.as_hours());
-    Json series = Json::array();
-    for (int h = 0; h <= end_hour; h += series_step_hours) {
-      const auto& sample = result.sample_at(util::SimTime::hours(h));
-      Json point = Json::object();
-      point.set("hour", h);
-      point.set("capacity", sample.capacity);
-      point.set("active_sessions", sample.active_sessions);
-      point.set("suppliers", sample.suppliers);
-      series.push_back(std::move(point));
-    }
-    out.set("capacity_series", std::move(series));
+    out.set("capacity_series",
+            hourly_series(result, series_step_hours,
+                          [](Json& point, const metrics::HourlySample& sample) {
+                            point.set("capacity", sample.capacity);
+                            point.set("active_sessions", sample.active_sessions);
+                            point.set("suppliers", sample.suppliers);
+                          }));
   }
   if (result.lookup_routed > 0) {
     out.set("lookup_routed", result.lookup_routed);
     out.set("lookup_mean_hops", result.lookup_mean_hops);
   }
   return out;
+}
+
+Json hourly_series(const engine::SimulationResult& result, int step_hours,
+                   const SamplePointFn& fill) {
+  P2PS_REQUIRE(step_hours > 0 && !result.hourly.empty());
+  const int end_hour = static_cast<int>(result.hourly.back().t.as_hours());
+  Json series = Json::array();
+  for (int h = 0; h <= end_hour; h += step_hours) {
+    Json point = Json::object();
+    point.set("hour", h);
+    fill(point, result.sample_at(util::SimTime::hours(h)));
+    series.push_back(std::move(point));
+  }
+  return series;
 }
 
 }  // namespace p2ps::scenario

@@ -116,8 +116,8 @@ void register_all_scenarios();
 // ---- helpers shared by scenario implementations ----
 
 /// The paper's Section 5.1 simulation config at `options.scale` — a thin
-/// wrapper over engine::section51_config, the single definition shared
-/// with bench_util so figures and scenarios agree by construction.
+/// wrapper over engine::section51_config, so every figure scenario runs
+/// the same configuration.
 [[nodiscard]] engine::SimulationConfig paper_config(const ScenarioOptions& options,
                                                     workload::ArrivalPattern pattern,
                                                     bool differentiated);
@@ -130,17 +130,20 @@ void scale_population(const ScenarioOptions& options, engine::SimulationConfig& 
 [[nodiscard]] Json result_to_json(const engine::SimulationResult& result,
                                   int series_step_hours = 8);
 
+/// Fills one series point from the hourly sample taken at its hour.
+using SamplePointFn = std::function<void(Json& point, const metrics::HourlySample&)>;
+
+/// A time series read off the run's hourly samples: one {"hour": h, ...}
+/// point every `step_hours` from hour 0 through the last sample, with the
+/// fields `fill` sets from `result.sample_at(h)`.
+[[nodiscard]] Json hourly_series(const engine::SimulationResult& result,
+                                 int step_hours, const SamplePointFn& fill);
+
 /// The single policy for missing statistics: nullopt renders as JSON null
 /// (never 0.0, which would be indistinguishable from a genuine zero).
 [[nodiscard]] inline Json opt_json(const std::optional<double>& value) {
   return value ? Json(*value) : Json();
 }
-
-/// Zeroes the event-core mechanics counters in a serialized payload — the
-/// keys of the obs::mechanics_schema table (events_executed, the
-/// peak_event_list/timer split, peak RSS, pool counters, ...). Backs the
-/// `p2ps_run --strip-mechanics` filter.
-[[nodiscard]] std::string strip_event_mechanics(std::string json_text);
 
 // Registration entry points, one per implementation file.
 void register_figure_scenarios(Registry& registry);

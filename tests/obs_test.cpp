@@ -18,7 +18,6 @@
 #include "engine/sharded_system.hpp"
 #include "engine/trace.hpp"
 #include "net/latency.hpp"
-#include "obs/mechanics_schema.hpp"
 #include "obs/metrics.hpp"
 #include "obs/phase_profiler.hpp"
 #include "obs/telemetry.hpp"
@@ -416,33 +415,6 @@ TEST(Telemetry, AbortActionThrowsAfterWritingTheEvidence) {
   const auto lines = read_lines(path);
   ASSERT_GE(lines.size(), 2u);
   EXPECT_NE(lines[1].find("admission-rate collapse"), std::string::npos);
-}
-
-// ---------- mechanics schema ----------
-
-TEST(MechanicsSchema, NoKeyIsAPrefixOfALaterKey) {
-  const obs::MechanicsField* schema = obs::mechanics_schema();
-  const std::size_t n = obs::mechanics_schema_size();
-  ASSERT_GE(n, 8u);
-  for (std::size_t i = 0; i < n; ++i) {
-    EXPECT_FALSE(schema[i].key.empty());
-    EXPECT_FALSE(schema[i].description.empty());
-    for (std::size_t j = i + 1; j < n; ++j) {
-      EXPECT_NE(schema[j].key.substr(0, schema[i].key.size()), schema[i].key)
-          << schema[i].key << " is a prefix of later " << schema[j].key;
-    }
-  }
-}
-
-TEST(MechanicsSchema, StripZeroesEverySchemaKey) {
-  const obs::MechanicsField* schema = obs::mechanics_schema();
-  for (std::size_t i = 0; i < obs::mechanics_schema_size(); ++i) {
-    const std::string key(schema[i].key);
-    const std::string text = "{\"" + key + "\":12345,\"other\":7}";
-    EXPECT_EQ(scenario::strip_event_mechanics(text),
-              "{\"" + key + "\":0,\"other\":7}")
-        << key;
-  }
 }
 
 // ---------- sharded engine integration ----------

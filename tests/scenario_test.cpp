@@ -2,11 +2,21 @@
 // contract of the unified runner.
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <cmath>
+#include <cstdlib>
+#include <functional>
+#include <initializer_list>
+#include <optional>
 #include <set>
+#include <stdexcept>
 #include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
 
 #include "core/selection_policy.hpp"
+#include "engine/streaming_system.hpp"
 #include "golden_hash.hpp"
 #include "scenario/json.hpp"
 #include "scenario/scenario.hpp"
@@ -218,21 +228,6 @@ TEST(RunScenario, EveryPolicyIsByteIdenticalAcrossEventListBackends) {
   }
 }
 
-TEST(StripEventMechanics, ZeroesExactlyTheMechanicsCounters) {
-  const std::string text =
-      "{\"events_executed\":123,\"peak_event_list\":45,"
-      "\"peak_event_list_timers\":40,\"peak_event_list_other\":5,"
-      "\"timer_events_scheduled\":99,\"peak_rss_bytes\":16777216,"
-      "\"bytes_per_peer\":42,\"pool_allocations\":17,\"pool_reuses\":9001,"
-      "\"windows_idle_skipped\":33,\"admissions\":7}";
-  EXPECT_EQ(strip_event_mechanics(text),
-            "{\"events_executed\":0,\"peak_event_list\":0,"
-            "\"peak_event_list_timers\":0,\"peak_event_list_other\":0,"
-            "\"timer_events_scheduled\":0,\"peak_rss_bytes\":0,"
-            "\"bytes_per_peer\":0,\"pool_allocations\":0,\"pool_reuses\":0,"
-            "\"windows_idle_skipped\":0,\"admissions\":7}");
-}
-
 TEST(RunScenario, DifferentSeedsChangeSimulationOutput) {
   ScenarioOptions a;
   a.seed = 1;
@@ -248,6 +243,261 @@ TEST(RunScenario, DifferentSeedsChangeSimulationOutput) {
     return text.substr(text.find("\"results\""));
   };
   EXPECT_NE(payload(run_a), payload(run_b));
+}
+
+// ---------- figure series against the engine ----------
+
+// A reader for the compact JSON the runner emits, so the series tests can
+// walk a payload's structure. Numbers parse back exactly: the writer
+// emits the shortest round-trip form.
+struct JsonValue {
+  std::optional<double> number;  // empty for null, bools and strings
+  std::vector<JsonValue> items;
+  std::vector<std::pair<std::string, JsonValue>> members;
+
+  const JsonValue& operator[](std::string_view key) const {
+    for (const auto& [name, value] : members) {
+      if (name == key) return value;
+    }
+    throw std::out_of_range("no key " + std::string(key));
+  }
+  const JsonValue& operator[](std::size_t i) const { return items.at(i); }
+};
+
+class JsonReader {
+ public:
+  explicit JsonReader(const std::string& text) : text_(text) {}
+
+  JsonValue value() {
+    JsonValue out;
+    const char c = text_.at(pos_);
+    if (c == '{' || c == '[') {
+      ++pos_;
+      const char close = c == '{' ? '}' : ']';
+      while (text_.at(pos_) != close) {
+        if (c == '{') {
+          std::string key = string();
+          ++pos_;  // ':'
+          out.members.emplace_back(std::move(key), value());
+        } else {
+          out.items.push_back(value());
+        }
+        if (text_.at(pos_) == ',') ++pos_;
+      }
+      ++pos_;
+    } else if (c == '"') {
+      string();
+    } else if (c == 'n' || c == 't' || c == 'f') {
+      while (pos_ < text_.size() && std::isalpha(static_cast<unsigned char>(text_[pos_]))) ++pos_;
+    } else {
+      char* end = nullptr;
+      out.number = std::strtod(text_.c_str() + pos_, &end);
+      pos_ = static_cast<std::size_t>(end - text_.c_str());
+    }
+    return out;
+  }
+
+ private:
+  std::string string() {
+    std::string out;
+    for (++pos_; text_.at(pos_) != '"'; ++pos_) {
+      if (text_[pos_] == '\\') ++pos_;
+      out.push_back(text_[pos_]);
+    }
+    ++pos_;
+    return out;
+  }
+
+  const std::string& text_;
+  std::size_t pos_ = 0;
+};
+
+JsonValue run_and_read(const char* name, const ScenarioOptions& options) {
+  const std::string text = run_scenario(name, options).dump();
+  return JsonReader(text).value()["results"];
+}
+
+ScenarioOptions small_figure_run() {
+  ScenarioOptions options;
+  options.seed = 2002;
+  options.scale = 50;
+  return options;
+}
+
+engine::SimulationResult run_pattern2(
+    const ScenarioOptions& options, bool differentiated,
+    const std::function<void(engine::SimulationConfig&)>& tweak = {}) {
+  auto config = paper_config(options, workload::ArrivalPattern::kRampUpDown,
+                             differentiated);
+  if (tweak) tweak(config);
+  return engine::StreamingSystem(config).run();
+}
+
+// `series` holds one point every `step` hours from hour 0 through the
+// run's last hourly sample; `check` compares each with sample_at(hour).
+void expect_series(const JsonValue& series, const engine::SimulationResult& result,
+                   int step,
+                   const std::function<void(const JsonValue&, const metrics::HourlySample&)>&
+                       check) {
+  const int last_hour = static_cast<int>(result.hourly.back().t.as_hours());
+  ASSERT_EQ(series.items.size(), static_cast<std::size_t>(last_hour / step + 1));
+  for (std::size_t i = 0; i < series.items.size(); ++i) {
+    const int hour = static_cast<int>(i) * step;
+    EXPECT_EQ(series[i]["hour"].number, hour);
+    check(series[i], result.sample_at(util::SimTime::hours(hour)));
+  }
+}
+
+using ClassStat = std::optional<double> (metrics::ClassCounters::*)() const;
+
+// One value per class, each `stat` of that class's counters (null where
+// the statistic is undefined).
+void expect_per_class(const JsonValue& values, const metrics::HourlySample& sample,
+                      ClassStat stat) {
+  ASSERT_EQ(sample.per_class.size(), 4u);
+  ASSERT_EQ(values.items.size(), 4u);
+  for (std::size_t c = 0; c < 4; ++c) {
+    EXPECT_EQ(values[c].number, (sample.per_class[c].*stat)()) << "class " << c + 1;
+  }
+}
+
+TEST(FigureSeries, Fig5AdmissionRateSeriesMatchesTheEngine) {
+  const ScenarioOptions options = small_figure_run();
+  const JsonValue results = run_and_read("fig5_admission_rate", options);
+  for (const bool differentiated : {true, false}) {
+    SCOPED_TRACE(differentiated ? "dac" : "ndac");
+    expect_series(results[differentiated ? "dac" : "ndac"]["admission_rate_series"],
+                  run_pattern2(options, differentiated), 8,
+                  [](const JsonValue& point, const metrics::HourlySample& sample) {
+                    expect_per_class(point["admission_rate"], sample,
+                                     &metrics::ClassCounters::admission_rate);
+                  });
+  }
+}
+
+TEST(FigureSeries, Fig6BufferingDelaySeriesMatchesTheEngine) {
+  const ScenarioOptions options = small_figure_run();
+  const JsonValue results = run_and_read("fig6_buffering_delay", options);
+  for (const bool differentiated : {true, false}) {
+    SCOPED_TRACE(differentiated ? "dac" : "ndac");
+    expect_series(
+        results[differentiated ? "dac_mean_delay_dt_series" : "ndac_mean_delay_dt_series"],
+        run_pattern2(options, differentiated), 8,
+        [](const JsonValue& point, const metrics::HourlySample& sample) {
+          expect_per_class(point["mean_delay_dt"], sample,
+                           &metrics::ClassCounters::mean_delay_dt);
+        });
+  }
+}
+
+TEST(FigureSeries, Fig8CapacitySeriesMatchTheEngine) {
+  const ScenarioOptions options = small_figure_run();
+  const JsonValue results = run_and_read("fig8_parameters", options);
+  const auto capacity = [](const JsonValue& point, const metrics::HourlySample& sample) {
+    EXPECT_EQ(point["capacity"].number, sample.capacity);
+  };
+  const std::size_t ms[] = {4, 8, 16, 32};
+  for (std::size_t i = 0; i < std::size(ms); ++i) {
+    const JsonValue& entry = results["m_sweep"][i];
+    ASSERT_EQ(entry["m_candidates"].number, ms[i]);
+    expect_series(entry["capacity_series"],
+                  run_pattern2(options, true,
+                               [&](engine::SimulationConfig& config) {
+                                 config.protocol.m_candidates = ms[i];
+                               }),
+                  12, capacity);
+  }
+  const int t_outs[] = {1, 2, 20, 60, 120};
+  for (std::size_t i = 0; i < std::size(t_outs); ++i) {
+    const JsonValue& entry = results["t_out_sweep"][i];
+    ASSERT_EQ(entry["t_out_minutes"].number, t_outs[i]);
+    expect_series(entry["capacity_series"],
+                  run_pattern2(options, true,
+                               [&](engine::SimulationConfig& config) {
+                                 config.protocol.t_out = util::SimTime::minutes(t_outs[i]);
+                               }),
+                  12, capacity);
+  }
+}
+
+TEST(FigureSeries, Fig9AdmissionRateSeriesMatchTheEngine) {
+  const ScenarioOptions options = small_figure_run();
+  const JsonValue results = run_and_read("fig9_backoff", options);
+  for (std::int64_t e_bkf = 1; e_bkf <= 4; ++e_bkf) {
+    const JsonValue& entry = results["e_bkf_sweep"][static_cast<std::size_t>(e_bkf - 1)];
+    ASSERT_EQ(entry["e_bkf"].number, e_bkf);
+    expect_series(entry["admission_rate_series"],
+                  run_pattern2(options, true,
+                               [&](engine::SimulationConfig& config) {
+                                 config.protocol.e_bkf = e_bkf;
+                               }),
+                  8, [](const JsonValue& point, const metrics::HourlySample& sample) {
+                    metrics::ClassCounters all;
+                    for (const auto& counters : sample.per_class) {
+                      all.first_requests += counters.first_requests;
+                      all.admissions += counters.admissions;
+                    }
+                    EXPECT_EQ(point["admission_rate"].number, all.admission_rate());
+                  });
+  }
+}
+
+// ---------- hourly_series ----------
+
+// Hourly samples at `hours`, the one at hour h carrying capacity 100 + h,
+// active_sessions h and suppliers 2h.
+engine::SimulationResult sampled_at(std::initializer_list<int> hours) {
+  engine::SimulationResult result;
+  for (const int h : hours) {
+    result.hourly.push_back({util::SimTime::hours(h), 100 + h, h, 2 * h, {}});
+  }
+  return result;
+}
+
+JsonValue read_series(const engine::SimulationResult& result, int step) {
+  const auto fill = [](Json& point, const metrics::HourlySample& sample) {
+    point.set("capacity", sample.capacity);
+  };
+  return JsonReader(hourly_series(result, step, fill).dump()).value();
+}
+
+TEST(HourlySeries, OnePointEveryStepThroughTheLastSample) {
+  const auto result = sampled_at({0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10});
+  for (const int step : {4, 5}) {  // 4: hour 12 is past the end; 5: hour 10 is the last
+    const JsonValue series = read_series(result, step);
+    ASSERT_EQ(series.items.size(), 3u) << "step " << step;
+    for (std::size_t i = 0; i < 3; ++i) {
+      EXPECT_EQ(series[i]["hour"].number, step * static_cast<double>(i));
+      EXPECT_EQ(series[i]["capacity"].number, 100 + step * static_cast<double>(i));
+    }
+  }
+}
+
+TEST(HourlySeries, PointBetweenSamplesReadsTheLatestEarlierSample) {
+  const JsonValue series = read_series(sampled_at({0, 3, 9}), 2);
+  ASSERT_EQ(series.items.size(), 5u);  // hours 0, 2, 4, 6, 8
+  EXPECT_EQ(series[1]["capacity"].number, 100);  // hour 2 reads hour 0
+  EXPECT_EQ(series[2]["capacity"].number, 103);  // hour 4 reads hour 3
+  EXPECT_EQ(series[4]["capacity"].number, 103);  // hour 8 reads hour 3, not 9
+}
+
+TEST(HourlySeries, RejectsNonPositiveStepAndEmptyResult) {
+  const auto fill = [](Json&, const metrics::HourlySample&) {};
+  EXPECT_THROW((void)hourly_series(sampled_at({0, 1}), 0, fill), util::ContractViolation);
+  EXPECT_THROW((void)hourly_series(sampled_at({0, 1}), -8, fill), util::ContractViolation);
+  EXPECT_THROW((void)hourly_series({}, 8, fill), util::ContractViolation);  // no samples
+}
+
+TEST(ResultToJson, CapacitySeriesFollowsTheStepAndIsOmittedAtZero) {
+  const auto result = sampled_at({0, 4, 8, 12, 16});
+  const JsonValue series = JsonReader(result_to_json(result, 8).dump()).value()["capacity_series"];
+  ASSERT_EQ(series.items.size(), 3u);  // hours 0, 8, 16
+  EXPECT_EQ(series[1]["hour"].number, 8);
+  EXPECT_EQ(series[1]["capacity"].number, 108);
+  EXPECT_EQ(series[1]["active_sessions"].number, 8);
+  EXPECT_EQ(series[1]["suppliers"].number, 16);
+  EXPECT_THROW((void)JsonReader(result_to_json(result, 0).dump()).value()["capacity_series"],
+               std::out_of_range);
 }
 
 // ---------- golden output pins ----------

@@ -1181,5 +1181,34 @@ TEST(ShardedScenarios, GoldenOutputHashesMatchThePreCompactionEngine) {
   }
 }
 
+// Randomized latency is where one (shard, tick) most often mixes local and
+// remote deliveries with same-tick protocol events, so these pins guard the
+// same-tick tie rules on the latency models the pins above leave out.
+// Captured with the cross-shard deliveries still scheduled as one event
+// per (shard, tick) group, before they became the simulator's delivery
+// feed.
+TEST(ShardedScenarios, GoldenOutputHashesCoverTheRandomizedLatencyModels) {
+  {
+    scenario::ScenarioOptions options;
+    options.seed = 2002;
+    options.scale = 10;
+    options.latency = net::LatencyModelKind::kUniform;
+    options.shards = 7;
+    options.shard_threads = 3;
+    EXPECT_EQ(fnv1a(scenario::run_scenario("msg_fig5_sharded", options).dump()),
+              0x11129ec4fc69614dull);
+  }
+  {
+    scenario::ScenarioOptions options;
+    options.seed = 2002;
+    options.scale = 10;
+    options.latency = net::LatencyModelKind::kLogNormal;
+    options.loss = 0.05;
+    options.shards = 3;
+    EXPECT_EQ(fnv1a(scenario::run_scenario("msg_fig5_sharded", options).dump()),
+              0x21964e48cff02248ull);
+  }
+}
+
 }  // namespace
 }  // namespace p2ps

@@ -926,10 +926,10 @@ ShardedResult ShardedSystem::run() {
                           config_.fusion);
   sim::ShardRunner::Callbacks callbacks;
   callbacks.profiler = telem_ ? telem_->profiler : nullptr;
-  // A shard's next event is its simulator's earliest pending event or,
-  // if sooner, the earliest delivery among the cross-shard envelopes it
-  // sent this window (pulled by their destinations only when the next
-  // window starts).
+  // A shard's next event is its simulator's earliest pending event or
+  // delivery feed tick (its own router port) or, if sooner, the earliest
+  // delivery among the cross-shard envelopes it sent this window (pulled
+  // by their destinations only when the next window starts).
   callbacks.next_event_time = [this](int shard) {
     auto next = shards_[static_cast<std::size_t>(shard)]->sim.next_event_time();
     const auto sent = router_.earliest_sent(shard);
@@ -965,8 +965,8 @@ ShardedResult ShardedSystem::run() {
   runner.run(config_.horizon, callbacks);
   // The final window's cross-shard envelopes are due past the horizon and
   // never delivered; parking them in their destinations' delivery groups
-  // anyway keeps the end-of-run pending and pool counters those of a
-  // runner that exchanged at every barrier.
+  // anyway keeps the end-of-run pool counters those of a runner that
+  // exchanged at every barrier.
   router_.exchange();
 
   for (auto& shard_ptr : shards_) shard_ptr->sampler->stop();

@@ -155,6 +155,8 @@ struct ShardedSample {
 
 /// Per-shard event-core mechanics (run-shape diagnostics, not workload
 /// results — scenario payloads emit these only behind --mechanics).
+/// Deliveries are drained by the simulator's delivery feed, not by events,
+/// so neither event counter includes them.
 struct ShardMechanics {
   std::uint64_t events_executed = 0;
   std::int64_t peak_event_list = 0;

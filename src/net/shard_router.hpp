@@ -13,14 +13,18 @@
 //     below the lookahead is a hard contract violation — it would have to
 //     be delivered inside the window that produced it, which the barrier
 //     protocol cannot do, so it aborts rather than silently reorders.
-//   * Canonical drain order. All envelopes delivered on one (shard, tick)
-//     drain through ONE pooled event, sorted by (to, sent_at, from, seq)
-//     with seq a per-*sender* counter. Every component of that key is a
-//     property of the traffic itself, never of the partitioning — unlike
-//     arrival order into the batch (local sends append at send time,
-//     remote sends at the destination's next pull), which is why the
-//     batch is sorted rather than drained FIFO. Merged output is
-//     therefore byte-identical for any shard count.
+//   * Canonical drain order. Each shard's Port is its simulator's delivery
+//     feed (sim::Simulator::Feed), not a source of events: all envelopes
+//     delivered on one (shard, tick) drain together when the simulator
+//     reaches that tick, after every event due at it, sorted by (to,
+//     sent_at, from, seq) with seq a per-*sender* counter. Every component
+//     of that key is a property of the traffic itself, never of the
+//     partitioning — unlike arrival order into the batch (local sends
+//     append at send time, remote sends at the destination's next pull),
+//     which is why the batch is sorted rather than drained FIFO; and the
+//     simulator's events-before-feed tie rule does not depend on when the
+//     batch was opened either. Merged output is therefore byte-identical
+//     for any shard count.
 //   * Destination pull. Cross-shard envelopes accumulate in per-(source,
 //     destination) outbox rows during a window. The rows are double-
 //     buffered by window parity: while window k writes one set, each
@@ -28,16 +32,16 @@
 //     window k-1) on the thread about to step it — so the exchange is
 //     parallel and off the serial barrier step. A destination pulls its
 //     sources in ascending order, which is exactly the per-destination
-//     enqueue order a serial source-major sweep produces; delivery groups,
-//     drain events and pool traffic are therefore identical for any
-//     thread count. seal_window() flips the parity in the serial step, and
+//     enqueue order a serial source-major sweep produces; delivery groups
+//     and pool traffic are therefore identical for any thread count. seal_window() flips the parity in the serial step, and
 //     earliest_sent() lets the next-window reduction see a window's
 //     earliest cross-shard delivery before anyone has pulled it.
 //
 // Steady state is allocation-free: delivery groups come off a free list
-// (entry vectors keep their capacity across reuse), outbox rows keep
-// theirs, and the tick -> group index is an open-addressed power-of-two
-// ring rather than a hash map. The ring works because live delivery ticks
+// (entry vectors keep their capacity across reuse), outbox rows and the
+// min-heap of live group ticks the feed reports from keep theirs, and the
+// tick -> group index is an open-addressed power-of-two ring rather than
+// a hash map. The ring works because live delivery ticks
 // always span less than the model's maximum latency: two distinct ticks
 // t1 != t2 with |t1 - t2| < ring size cannot share tick mod ring size, so
 // once the ring outgrows the live span every live tick owns its slot
@@ -46,7 +50,8 @@
 //
 // Thread-safety: during a window, the one thread running shard s may
 // call send(s, ...) and pull(s). Both touch only shard s's Port — its
-// write-parity outbox rows, its delivery groups and its counters — plus,
+// write-parity outbox rows, its delivery groups, its tick heap and its
+// counters (the feed drains run on the same thread, inside run_until) — plus,
 // for pull, the sealed-parity rows addressed to s in every other Port,
 // which no one else touches until the next seal. Ports and outbox rows
 // are padded to cache lines so neighbouring shards never share one.
@@ -58,6 +63,7 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -121,10 +127,11 @@ class ShardRouter {
     return static_cast<int>(peer_value % static_cast<std::uint64_t>(num_shards_));
   }
 
-  /// Attaches shard `shard`'s simulator and delivery handler. Must be
-  /// called exactly once per shard, before any send. `context` is handed
-  /// back verbatim on every delivery (it may be null if the handler
-  /// ignores it).
+  /// Attaches shard `shard`'s simulator and delivery handler, and makes
+  /// the shard's Port that simulator's delivery feed (the simulator must
+  /// have none yet). Must be called exactly once per shard, before any
+  /// send. `context` is handed back verbatim on every delivery (it may be
+  /// null if the handler ignores it).
   void bind(int shard, sim::Simulator& simulator, void* context,
             Handler on_deliver) {
     Port& port = port_at(shard);
@@ -133,6 +140,7 @@ class ShardRouter {
     port.simulator = &simulator;
     port.context = context;
     port.on_deliver = on_deliver;
+    simulator.attach_feed({&next_due, &drain_tick, &port});
   }
 
   /// Sends one envelope from shard `from_shard` (which must own
@@ -236,7 +244,7 @@ class ShardRouter {
   }
 
  private:
-  /// One per-(shard, tick) delivery batch behind one pooled drain event.
+  /// One per-(shard, tick) delivery batch, drained by one feed tick.
   struct Group {
     std::vector<Envelope> entries;
     std::int64_t tick_ms = 0;
@@ -269,6 +277,8 @@ class ShardRouter {
     /// (power of two). Uniqueness holds because live ticks span less than
     /// the ring size (see file header); a collision doubles the ring.
     std::vector<std::uint32_t> ring;
+    /// Min-heap of the live groups' ticks: the feed's next due tick.
+    std::vector<std::uint32_t> due;
     std::vector<Group> groups;
     std::uint32_t free_head = kNoGroup;
     std::size_t live_groups = 0;
@@ -350,10 +360,8 @@ class ShardRouter {
       index = acquire_group(port, tick_ms);
       port.ring[slot] = index;
       ++port.live_groups;
-      const int port_index = static_cast<int>(&port - ports_.data());
-      port.simulator->schedule_at(
-          util::SimTime::millis(tick_ms),
-          [this, port_index, index] { drain(port_at(port_index), index); });
+      port.due.push_back(envelope.deliver_at);
+      std::push_heap(port.due.begin(), port.due.end(), std::greater<>{});
     }
     port.groups[index].entries.push_back(std::move(envelope));
   }
@@ -374,7 +382,26 @@ class ShardRouter {
     return index;
   }
 
-  void drain(Port& port, std::uint32_t index) {
+  /// Feed: the earliest tick with a live delivery group.
+  static util::SimTime next_due(void* context) {
+    const Port& port = *static_cast<const Port*>(context);
+    return port.due.empty() ? util::SimTime::max()
+                            : util::SimTime::millis(port.due.front());
+  }
+
+  /// Feed: drains the group of tick `tick`, the earliest live one.
+  static void drain_tick(void* context, util::SimTime tick) {
+    Port& port = *static_cast<Port*>(context);
+    const std::int64_t tick_ms = tick.as_millis();
+    P2PS_CHECK(!port.due.empty() && port.due.front() == tick_ms);
+    std::pop_heap(port.due.begin(), port.due.end(), std::greater<>{});
+    port.due.pop_back();
+    const std::uint32_t index = port.ring[slot_of(port, tick_ms)];
+    P2PS_CHECK(index != kNoGroup && port.groups[index].tick_ms == tick_ms);
+    drain(port, index);
+  }
+
+  static void drain(Port& port, std::uint32_t index) {
     Group& group = port.groups[index];
     const std::size_t slot = slot_of(port, group.tick_ms);
     P2PS_CHECK(port.ring[slot] == index);

@@ -13,7 +13,7 @@
 // tick min_next arrives no sooner than min_next + lookahead — strictly
 // after t1 — so no envelope produced inside a window can be due inside it,
 // and the next window's inbound pull (net/shard_router.hpp) always
-// schedules into every destination shard's strict future.
+// feeds into every destination shard's strict future.
 // docs/sharding.md carries the full argument.
 //
 // Idle windows are skipped entirely (min_next jumps the window forward),
@@ -58,8 +58,10 @@ namespace p2ps::sim {
 class ShardRunner {
  public:
   struct Callbacks {
-    /// Earliest pending event time on shard `s`, including anything the
-    /// shard has sent that will become an event elsewhere before the next
+    /// Earliest pending work on shard `s`: its simulator's
+    /// next_event_time(), which covers both its events and its attached
+    /// delivery feed (the shard's ShardRouter port), and anything the
+    /// shard has sent that will join another shard's feed at the next
     /// window's pull. Called once per shard before the first window, then
     /// by the thread running shard `s` right after each of its run_to
     /// calls; the serial step reduces these answers, so at_barrier and

@@ -126,7 +126,29 @@ void Simulator::execute(const CalendarEntry& entry) {
   cb();
 }
 
+void Simulator::attach_feed(const Feed& feed) {
+  P2PS_REQUIRE_MSG(feed_.drain == nullptr, "simulator already has a feed");
+  P2PS_REQUIRE(feed.next_due != nullptr && feed.drain != nullptr);
+  feed_ = feed;
+}
+
+void Simulator::drain_feed(util::SimTime due) {
+  P2PS_CHECK_MSG(due >= now_, "delivery feed due in the past");
+  now_ = due;
+  feed_.drain(feed_.context, due);
+}
+
 bool Simulator::step() {
+  if (feed_.drain != nullptr) {
+    // Events win ties: the feed drains its tick only once no event is due
+    // at or before it.
+    const CalendarEntry* entry = peek_live();
+    const util::SimTime due = feed_due();
+    if (due != util::SimTime::max() && (entry == nullptr || due < entry->time)) {
+      drain_feed(due);
+      return true;
+    }
+  }
   const auto entry = pop_live();
   if (!entry) return false;
   execute(*entry);
@@ -134,24 +156,42 @@ bool Simulator::step() {
 }
 
 std::size_t Simulator::run(std::size_t max_events) {
-  std::size_t executed = 0;
-  while (executed < max_events && step()) ++executed;
-  return executed;
+  const std::uint64_t start = executed_;
+  while (executed_ - start < max_events && step()) {
+  }
+  return static_cast<std::size_t>(executed_ - start);
 }
 
 std::size_t Simulator::run_until(util::SimTime t) {
   P2PS_REQUIRE(t >= now_);
   std::size_t executed = 0;
-  for (;;) {
-    const CalendarEntry* entry = peek_live();
-    // A beyond-horizon entry simply stays staged — no reinsertion, and the
-    // next peek (this window's next_event_time probe, or the next window's
-    // run_until) finds it for free.
-    if (entry == nullptr || entry->time > t) break;
-    const CalendarEntry current = *entry;
-    staged_.reset();
-    execute(current);
-    ++executed;
+  if (feed_.drain == nullptr) {
+    for (;;) {
+      const CalendarEntry* entry = peek_live();
+      // A beyond-horizon entry simply stays staged — no reinsertion, and
+      // the next peek (this window's next_event_time probe, or the next
+      // window's run_until) finds it for free.
+      if (entry == nullptr || entry->time > t) break;
+      const CalendarEntry current = *entry;
+      staged_.reset();
+      execute(current);
+      ++executed;
+    }
+  } else {
+    for (;;) {
+      const CalendarEntry* entry = peek_live();
+      const util::SimTime due = feed_due();
+      if (entry != nullptr && entry->time <= t && entry->time <= due) {
+        const CalendarEntry current = *entry;
+        staged_.reset();
+        execute(current);
+        ++executed;
+      } else if (due <= t && due != util::SimTime::max()) {
+        drain_feed(due);
+      } else {
+        break;
+      }
+    }
   }
   now_ = t;
   return executed;
@@ -159,8 +199,13 @@ std::size_t Simulator::run_until(util::SimTime t) {
 
 std::optional<util::SimTime> Simulator::next_event_time() {
   const CalendarEntry* entry = peek_live();
-  if (entry == nullptr) return std::nullopt;
-  return entry->time;
+  std::optional<util::SimTime> next;
+  if (entry != nullptr) next = entry->time;
+  if (feed_.drain != nullptr) {
+    const util::SimTime due = feed_due();
+    if (due != util::SimTime::max() && (!next || due < *next)) next = due;
+  }
+  return next;
 }
 
 void Simulator::clear() {

@@ -14,6 +14,16 @@
 // pluggable — a binary heap by default, or the Brown-1988 calendar queue
 // for very large event populations — with identical ordering semantics
 // either way (see sim/event_list.hpp).
+//
+// Delivery feed. A simulator may carry at most one attached Feed: an
+// outside queue of work keyed by tick (the sharded engine's ShardRouter
+// port) that the run loops merge with the event list without one event
+// per tick. The tie rule is fixed: at tick t, every event due at t fires
+// first (including zero-delay events those events schedule), then the
+// feed drains its tick t, then the events its handlers scheduled at t.
+// Feed ticks are not events: executed_count(), pending_count() and
+// peak_pending_count() never count them. A simulator with no feed pays one
+// null check per run_until() call and per step().
 #pragma once
 
 #include <cstdint>
@@ -43,6 +53,19 @@ class Simulator {
  public:
   using Callback = InplaceCallback;
 
+  /// A delivery feed: two raw function pointers and their context (the
+  /// ShardRouter::Handler idiom — no std::function on a per-tick path).
+  /// `next_due` returns the earliest tick the feed holds work for, or
+  /// SimTime::max() when it holds none; it must never report a tick before
+  /// now(). `drain` consumes all of that tick's work; it runs with now()
+  /// set to the tick and may schedule events and feed more work, but only
+  /// at later ticks of the feed.
+  struct Feed {
+    util::SimTime (*next_due)(void* context) = nullptr;
+    void (*drain)(void* context, util::SimTime tick) = nullptr;
+    void* context = nullptr;
+  };
+
   explicit Simulator(EventListKind event_list = EventListKind::kBinaryHeap);
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
@@ -65,6 +88,11 @@ class Simulator {
   /// pending-event accounting below.
   EventId schedule_timer_at(util::SimTime t, Callback cb);
 
+  /// Attaches the simulator's one delivery feed (see the file header for
+  /// the tie rule). It stays attached for the simulator's lifetime, across
+  /// clear(), and must outlive every later run call.
+  void attach_feed(const Feed& feed);
+
   /// Cancels a pending event. Returns true if the event was still pending.
   /// Safe to call with already-fired, already-cancelled or pre-clear() ids.
   bool cancel(EventId id);
@@ -72,7 +100,7 @@ class Simulator {
   /// Returns true if the event is still pending.
   [[nodiscard]] bool pending(EventId id) const;
 
-  /// Number of pending (non-cancelled) events.
+  /// Number of pending (non-cancelled) events. Feed work is not counted.
   [[nodiscard]] std::size_t pending_count() const { return live_; }
 
   /// Largest pending_count() ever reached over the simulator's lifetime
@@ -87,33 +115,38 @@ class Simulator {
     return peak_live_timers_;
   }
 
-  /// Executes the next event, if any. Returns false when the queue is empty.
+  /// Executes the next event or drains the feed's next tick, whichever
+  /// the tie rule puts first. Returns false when neither remains.
   bool step();
 
-  /// Runs until no events remain (or `max_events` fired). Returns the number
-  /// of events executed.
+  /// Runs until no events and no feed work remain (or `max_events` events
+  /// fired). Returns the number of events executed; feed ticks drained on
+  /// the way are not counted.
   std::size_t run(std::size_t max_events = SIZE_MAX);
 
-  /// Runs all events with time <= `t`, then advances the clock to exactly
-  /// `t`. Returns the number of events executed.
+  /// Runs all events and feed ticks with time <= `t`, then advances the
+  /// clock to exactly `t`. Returns the number of events executed.
   std::size_t run_until(util::SimTime t);
 
-  /// Time of the earliest live (non-cancelled) pending event, or nullopt
-  /// when none remain. Exact on both backends: cancelled residue is popped
-  /// and discarded until a live entry surfaces, which is then *staged* in a
-  /// one-entry buffer in front of the backend — not pushed back — so the
-  /// conservative-lookahead probe the shard runner issues once per shard
-  /// per window (sim/shard_runner.hpp) costs zero backend operations when
-  /// repeated, and run_until's beyond-horizon stop costs no re-push.
+  /// Earliest time at which an event fires or the feed drains, or nullopt
+  /// when neither remains. Exact on both backends: cancelled residue is
+  /// popped and discarded until a live entry surfaces, which is then
+  /// *staged* in a one-entry buffer in front of the backend — not pushed
+  /// back — so the conservative-lookahead probe the shard runner issues
+  /// once per shard per window (sim/shard_runner.hpp) costs zero backend
+  /// operations when repeated, and run_until's beyond-horizon stop costs
+  /// no re-push.
   [[nodiscard]] std::optional<util::SimTime> next_event_time();
 
-  /// Total events executed over the simulator's lifetime.
+  /// Total events executed over the simulator's lifetime (feed ticks are
+  /// not events).
   [[nodiscard]] std::uint64_t executed_count() const { return executed_; }
 
   /// Drops all pending events without executing them and resets the event
   /// list (including any backend dequeue-cursor state). Every EventId
   /// issued before clear() is invalidated: cancel() and pending() on such
-  /// ids safely return false. The clock and executed_count() are kept.
+  /// ids safely return false. The clock, executed_count() and the feed
+  /// (with whatever work it holds) are kept.
   void clear();
 
  private:
@@ -156,6 +189,14 @@ class Simulator {
 
   EventId schedule_impl(util::SimTime t, Callback cb, bool timer);
 
+  /// The feed's earliest due tick (SimTime::max() when it is empty).
+  [[nodiscard]] util::SimTime feed_due() const {
+    return feed_.next_due(feed_.context);
+  }
+
+  /// Drains the feed's tick `due`, the earliest work left in the run.
+  void drain_feed(util::SimTime due);
+
   util::SimTime now_ = util::SimTime::zero();
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
@@ -171,6 +212,7 @@ class Simulator {
   /// dominate window mechanics at hundreds of thousands of windows.
   std::optional<CalendarEntry> staged_;
   std::unique_ptr<EventList> queue_;
+  Feed feed_;  ///< drain == nullptr while no feed is attached
 };
 
 /// Self-rescheduling periodic callback, e.g. hourly metric sampling.

@@ -3,7 +3,9 @@
 
 #include <algorithm>
 #include <functional>
+#include <map>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "sim/simulator.hpp"
@@ -374,6 +376,162 @@ TEST_P(BackendParity, IdenticalFiringOrderUnderRandomWorkload) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BackendParity, ::testing::Range(1, 7));
+
+// ---------- delivery feed ----------
+
+/// A delivery feed over a tick -> work map. Each drain runs that tick's
+/// work in insertion order and logs the tick.
+struct TestFeed {
+  std::map<std::int64_t, std::vector<std::function<void()>>> work;
+  std::vector<std::int64_t> drained;
+
+  void add(std::int64_t tick, std::function<void()> fn) {
+    work[tick].push_back(std::move(fn));
+  }
+  Simulator::Feed feed() {
+    return {[](void* context) {
+              const auto& self = *static_cast<TestFeed*>(context);
+              return self.work.empty() ? SimTime::max()
+                                       : SimTime::millis(self.work.begin()->first);
+            },
+            [](void* context, SimTime tick) {
+              auto& self = *static_cast<TestFeed*>(context);
+              auto node = self.work.extract(self.work.begin());
+              EXPECT_EQ(node.key(), tick.as_millis());
+              self.drained.push_back(tick.as_millis());
+              for (auto& fn : node.mapped()) fn();
+            },
+            this};
+  }
+};
+
+TEST(SimulatorFeed, EventsDueAtATickFireBeforeTheFeedDrainsIt) {
+  Simulator s;
+  TestFeed feed;
+  s.attach_feed(feed.feed());
+  std::vector<std::string> order;
+  // The feed's tick-5 work exists before any tick-5 event is scheduled:
+  // the tie rule, not scheduling order, puts the events first.
+  feed.add(5, [&] { order.push_back("feed@" + std::to_string(s.now().as_millis())); });
+  s.schedule_at(SimTime::millis(5), [&] {
+    order.push_back("event");
+    s.schedule_after(SimTime::zero(), [&] { order.push_back("zero-delay event"); });
+  });
+  s.schedule_at(SimTime::millis(4), [&] { order.push_back("earlier event"); });
+  s.run_until(SimTime::millis(10));
+  EXPECT_EQ(order, (std::vector<std::string>{"earlier event", "event",
+                                             "zero-delay event", "feed@5"}));
+  EXPECT_EQ(s.now(), SimTime::millis(10));
+}
+
+TEST(SimulatorFeed, EventsAFeedHandlerSchedulesAtItsTickFireAfterTheTick) {
+  Simulator s;
+  TestFeed feed;
+  s.attach_feed(feed.feed());
+  std::vector<std::string> order;
+  feed.add(5, [&] {
+    order.push_back("feed@5");
+    s.schedule_after(SimTime::zero(), [&] { order.push_back("handler's event@5"); });
+    // Work a handler feeds lies in the future and drains in its own turn.
+    feed.add(6, [&] { order.push_back("feed@6"); });
+  });
+  s.schedule_at(SimTime::millis(6), [&] { order.push_back("event@6"); });
+  s.run_until(SimTime::millis(6));
+  EXPECT_EQ(order, (std::vector<std::string>{"feed@5", "handler's event@5",
+                                             "event@6", "feed@6"}));
+  EXPECT_EQ(feed.drained, (std::vector<std::int64_t>{5, 6}));
+}
+
+TEST(SimulatorFeed, RunUntilLeavesLaterFeedTicksPending) {
+  Simulator s;
+  TestFeed feed;
+  s.attach_feed(feed.feed());
+  feed.add(3, [] {});
+  feed.add(8, [] {});
+  EXPECT_EQ(s.run_until(SimTime::millis(7)), 0u);
+  EXPECT_EQ(feed.drained, (std::vector<std::int64_t>{3}));
+  EXPECT_EQ(s.now(), SimTime::millis(7));
+  EXPECT_EQ(s.next_event_time(), SimTime::millis(8));
+  s.run_until(SimTime::millis(8));  // inclusive bound, like events
+  EXPECT_EQ(feed.drained, (std::vector<std::int64_t>{3, 8}));
+}
+
+TEST(SimulatorFeed, NextEventTimeIsTheMinimumOfTheEventListAndTheFeed) {
+  Simulator s;
+  TestFeed feed;
+  s.attach_feed(feed.feed());
+  EXPECT_FALSE(s.next_event_time().has_value());
+  feed.add(7, [] {});
+  EXPECT_EQ(s.next_event_time(), SimTime::millis(7));
+  const EventId early = s.schedule_at(SimTime::millis(3), [] {});
+  EXPECT_EQ(s.next_event_time(), SimTime::millis(3));
+  s.schedule_at(SimTime::millis(7), [] {});
+  s.cancel(early);
+  EXPECT_EQ(s.next_event_time(), SimTime::millis(7));  // a tie is one time
+  s.run_until(SimTime::millis(7));
+  EXPECT_FALSE(s.next_event_time().has_value());
+  s.schedule_at(SimTime::millis(12), [] {});
+  feed.add(20, [] {});
+  EXPECT_EQ(s.next_event_time(), SimTime::millis(12));
+}
+
+TEST(SimulatorFeed, StepAndRunDrainTheFeed) {
+  Simulator s;
+  TestFeed feed;
+  s.attach_feed(feed.feed());
+  std::vector<std::string> order;
+  feed.add(2, [&] { order.push_back("feed@2"); });
+  s.schedule_at(SimTime::millis(2), [&] { order.push_back("event@2"); });
+  feed.add(4, [&] { order.push_back("feed@4"); });
+  EXPECT_TRUE(s.step());
+  EXPECT_EQ(order, (std::vector<std::string>{"event@2"}));
+  EXPECT_TRUE(s.step());  // a feed tick is a step
+  EXPECT_EQ(order, (std::vector<std::string>{"event@2", "feed@2"}));
+  EXPECT_EQ(s.now(), SimTime::millis(2));
+  EXPECT_TRUE(s.step());
+  EXPECT_EQ(s.now(), SimTime::millis(4));
+  EXPECT_FALSE(s.step());
+
+  // run() drains feed ticks too, but returns (and caps) only events.
+  feed.add(5, [&] {
+    s.schedule_after(SimTime::millis(1), [&] { order.push_back("event@6"); });
+  });
+  feed.add(9, [&] { order.push_back("feed@9"); });
+  EXPECT_EQ(s.run(), 1u);
+  EXPECT_EQ(order.back(), "feed@9");
+  EXPECT_EQ(s.now(), SimTime::millis(9));
+  EXPECT_TRUE(feed.work.empty());
+}
+
+TEST(SimulatorFeed, FeedTicksAreNotEventsInTheCounters) {
+  Simulator s;
+  TestFeed feed;
+  s.attach_feed(feed.feed());
+  for (std::int64_t t = 1; t <= 5; ++t) feed.add(t, [] {});
+  EXPECT_EQ(s.pending_count(), 0u);  // feed work is not pending events
+  s.schedule_at(SimTime::millis(3), [] {});
+  EXPECT_EQ(s.pending_count(), 1u);
+  EXPECT_EQ(s.run_until(SimTime::millis(10)), 1u);
+  EXPECT_EQ(feed.drained.size(), 5u);
+  EXPECT_EQ(s.executed_count(), 1u);
+  EXPECT_EQ(s.pending_count(), 0u);
+  EXPECT_EQ(s.peak_pending_count(), 1u);
+}
+
+TEST(SimulatorFeed, AcceptsOneFeedAndSurvivesClear) {
+  Simulator s;
+  TestFeed feed;
+  TestFeed other;
+  s.attach_feed(feed.feed());
+  EXPECT_THROW(s.attach_feed(other.feed()), util::ContractViolation);
+  feed.add(4, [] {});
+  s.schedule_at(SimTime::millis(2), [] {});
+  s.clear();  // drops events, keeps the feed and its work
+  EXPECT_EQ(s.next_event_time(), SimTime::millis(4));
+  s.run_until(SimTime::max());
+  EXPECT_EQ(feed.drained, (std::vector<std::int64_t>{4}));
+  EXPECT_EQ(s.now(), SimTime::max());
+}
 
 // ---------- Periodic ----------
 

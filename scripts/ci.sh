@@ -187,7 +187,8 @@ done
 # share one parser, so a negative seed, a junk token or a zero scale is the
 # usage error (exit 2) naming the flag in both modes, never a silently
 # wrapped seed or a raw contract failure.
-echo "==> seed/scale smoke: junk --seed/--scale tokens exit 2 in both modes"
+echo "==> seed/scale smoke: junk --seed/--scale tokens exit 2 in both modes," \
+     "junk --sweep --threads too"
 for bad in "seed:-1" "seed:abc" "scale:2x" "scale:0"; do
   flag="${bad%%:*}"
   token="${bad#*:}"
@@ -203,6 +204,18 @@ for bad in "seed:-1" "seed:abc" "scale:2x" "scale:0"; do
       exit 1
     fi
   done
+done
+# The sweep's worker count goes through the same parser.
+for token in abc 0 -2 2x; do
+  status=0
+  "${runner}" --sweep fig1_assignment --threads "${token}" --compact \
+      > /dev/null 2> "${smoke_dir}/bad_int.err" || status=$?
+  if [ "${status}" -ne 2 ] ||
+      ! grep -q -- "--threads" "${smoke_dir}/bad_int.err"; then
+    echo "FAIL: '--sweep fig1_assignment --threads ${token}' exited" \
+         "${status} (expected usage error 2 naming the flag)" >&2
+    exit 1
+  fi
 done
 
 # Loss-axis smoke: the sweep's --losses axis must expand deterministically,
@@ -274,7 +287,8 @@ grep -q '"policy":"first-fit"' "${smoke_dir}/policy.2t.json" || {
 # rejected with the CLI usage error (exit 2) before any simulation runs.
 # The default-shards output (.1.json, 4 shards) was already produced and
 # determinism-checked by the smoke loop above.
-echo "==> shard smoke: msg_fig5_sharded x {--shards 1, --shards 7 + threads}"
+echo "==> shard smoke: msg_fig5_sharded x {--shards 1, --shards 7 + threads," \
+     "--latency uniform at 1 and 4 shards}"
 for bad_shards in banana 0 -3 2.5; do
   status=0
   "${runner}" msg_fig5_sharded --shards "${bad_shards}" --scale "${scale}" \
@@ -299,6 +313,21 @@ cmp "${smoke_dir}/msg_fig5_sharded.1.json" \
     "${smoke_dir}/msg_fig5_sharded.s7.json" || {
   echo "FAIL: msg_fig5_sharded differs between --shards 7 --shard-threads 2" \
        "and the default 4 shards" >&2
+  exit 1
+}
+# Randomized latency is where one (shard, tick) most often mixes local and
+# remote deliveries with same-tick events: the simulator's events-before-
+# deliveries tie rule (docs/sharding.md) must keep it partition-invariant.
+for layout in "1 1" "4 4"; do
+  read -r shards threads <<< "${layout}"
+  "${runner}" msg_fig5_sharded --seed "${seed}" --scale "${scale}" --compact \
+      --latency uniform --shards "${shards}" --shard-threads "${threads}" \
+      > "${smoke_dir}/msg_fig5_sharded.uniform.s${shards}.json"
+done
+cmp "${smoke_dir}/msg_fig5_sharded.uniform.s1.json" \
+    "${smoke_dir}/msg_fig5_sharded.uniform.s4.json" || {
+  echo "FAIL: msg_fig5_sharded --latency uniform differs between --shards 1" \
+       "and --shards 4 --shard-threads 4" >&2
   exit 1
 }
 grep -q '"mechanics"' "${smoke_dir}/msg_fig5_sharded.1.json" && {

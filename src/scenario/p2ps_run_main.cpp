@@ -160,9 +160,10 @@ std::optional<int> parse_positive_int(std::string_view flag,
   return static_cast<int>(out);
 }
 
-/// Parses one integer token of --seed/--scale or of their sweep axes
-/// --seeds/--scales, so both modes share one parser; reports a CLI error
-/// naming the flag on junk or on a value below `min`.
+/// Parses one integer token of --seed/--scale, of their sweep axes
+/// --seeds/--scales or of the sweep's --threads, so both modes share one
+/// parser; reports a CLI error naming the flag on junk or on a value below
+/// `min`.
 std::optional<std::int64_t> parse_axis_int(std::string_view flag,
                                            const std::string& token,
                                            std::int64_t min) {
@@ -324,11 +325,11 @@ int main(int argc, char** argv) {
       }
       const auto hardware =
           static_cast<std::int64_t>(std::thread::hardware_concurrency());
-      const std::int64_t threads =
-          flags.get_int("threads", hardware > 0 ? hardware : 1);
-      if (threads < 1) {
-        std::cerr << "error: --threads must be >= 1\n";
-        return 2;
+      std::int64_t threads = hardware > 0 ? hardware : 1;
+      if (const auto token = flags.value("threads")) {
+        const auto value = parse_axis_int("threads", *token, 1);
+        if (!value) return 2;
+        threads = *value;
       }
       for (const auto& unknown : flags.unused()) {
         std::cerr << "error: unknown flag --" << unknown << '\n';

@@ -33,7 +33,8 @@
 //     parallel and off the serial barrier step. A destination pulls its
 //     sources in ascending order, which is exactly the per-destination
 //     enqueue order a serial source-major sweep produces; delivery groups
-//     and pool traffic are therefore identical for any thread count. seal_window() flips the parity in the serial step, and
+//     and pool traffic are therefore identical for any thread count.
+//     seal_window() flips the parity in the serial step, and
 //     earliest_sent() lets the next-window reduction see a window's
 //     earliest cross-shard delivery before anyone has pulled it.
 //
@@ -41,8 +42,8 @@
 // (entry vectors keep their capacity across reuse), outbox rows and the
 // min-heap of live group ticks the feed reports from keep theirs, and the
 // tick -> group index is an open-addressed power-of-two ring rather than
-// a hash map. The ring works because live delivery ticks
-// always span less than the model's maximum latency: two distinct ticks
+// a hash map. The ring works because live delivery ticks always span
+// less than the model's maximum latency: two distinct ticks
 // t1 != t2 with |t1 - t2| < ring size cannot share tick mod ring size, so
 // once the ring outgrows the live span every live tick owns its slot
 // uniquely. On a collision the ring doubles and every live group rehashes
@@ -51,10 +52,10 @@
 // Thread-safety: during a window, the one thread running shard s may
 // call send(s, ...) and pull(s). Both touch only shard s's Port — its
 // write-parity outbox rows, its delivery groups, its tick heap and its
-// counters (the feed drains run on the same thread, inside run_until) — plus,
-// for pull, the sealed-parity rows addressed to s in every other Port,
-// which no one else touches until the next seal. Ports and outbox rows
-// are padded to cache lines so neighbouring shards never share one.
+// counters (the feed's drains run on the same thread, inside run_until)
+// — plus, for pull, the sealed-parity rows addressed to s in every other
+// Port, which no one else touches until the next seal. Ports and outbox
+// rows are padded to cache lines so neighbouring shards never share one.
 // Counters live in the Ports and are summed on read. bind(),
 // seal_window(), exchange() and the counter reads are serial-only
 // (between windows).

@@ -67,8 +67,7 @@ class SessionEndCalendar {
   void poll() {
     const util::SimTime now = simulator_.now();
     // Fast path: nothing due. The armed-event invariant already holds (the
-    // queue and the in-flight event are untouched), and this runs once per
-    // delivered message in the sharded engine — tens of millions per run.
+    // queue and the in-flight event are untouched).
     if (queue_.empty() || queue_.front().at > now) return;
     do {
       Slot slot = std::move(queue_.front());

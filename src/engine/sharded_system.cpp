@@ -495,11 +495,6 @@ void ShardedSystem::send(Shard& shard, std::uint32_t from_local,
 }
 
 void ShardedSystem::on_deliver(Shard& shard, const Envelope& envelope) {
-  // Deadline-check-on-drain: every requester deadline due at or before
-  // this tick fires before any same-tick delivery, so a grant arriving
-  // exactly at its deadline tick is deterministically late for every
-  // partitioning (docs/sharding.md).
-  shard.deadlines.poll();
   ++shard.delivered;
   const std::uint32_t local = local_index(core::PeerId{envelope.to});
   const Msg& msg = envelope.payload;

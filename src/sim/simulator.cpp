@@ -104,14 +104,6 @@ const CalendarEntry* Simulator::peek_live() {
   }
 }
 
-std::optional<CalendarEntry> Simulator::pop_live() {
-  const CalendarEntry* entry = peek_live();
-  if (entry == nullptr) return std::nullopt;
-  const CalendarEntry result = *entry;
-  staged_.reset();
-  return result;
-}
-
 void Simulator::execute(const CalendarEntry& entry) {
   P2PS_CHECK_MSG(entry.time >= now_, "event queue time order violated");
   const std::uint32_t index = slot_of(EventId{entry.payload});
@@ -139,19 +131,16 @@ void Simulator::drain_feed(util::SimTime due) {
 }
 
 bool Simulator::step() {
-  if (feed_.drain != nullptr) {
-    // Events win ties: the feed drains its tick only once no event is due
-    // at or before it.
-    const CalendarEntry* entry = peek_live();
-    const util::SimTime due = feed_due();
-    if (due != util::SimTime::max() && (entry == nullptr || due < entry->time)) {
-      drain_feed(due);
-      return true;
-    }
+  const CalendarEntry* entry = peek_live();
+  const util::SimTime due = feed_due();
+  if (feed_goes_next(entry, due)) {
+    drain_feed(due);
+    return true;
   }
-  const auto entry = pop_live();
-  if (!entry) return false;
-  execute(*entry);
+  if (entry == nullptr) return false;
+  const CalendarEntry current = *entry;
+  staged_.reset();
+  execute(current);
   return true;
 }
 
@@ -165,33 +154,22 @@ std::size_t Simulator::run(std::size_t max_events) {
 std::size_t Simulator::run_until(util::SimTime t) {
   P2PS_REQUIRE(t >= now_);
   std::size_t executed = 0;
-  if (feed_.drain == nullptr) {
-    for (;;) {
-      const CalendarEntry* entry = peek_live();
-      // A beyond-horizon entry simply stays staged — no reinsertion, and
-      // the next peek (this window's next_event_time probe, or the next
-      // window's run_until) finds it for free.
-      if (entry == nullptr || entry->time > t) break;
-      const CalendarEntry current = *entry;
-      staged_.reset();
-      execute(current);
-      ++executed;
+  for (;;) {
+    // A beyond-horizon entry simply stays staged — no reinsertion, and
+    // the next peek (this window's next_event_time probe, or the next
+    // window's run_until) finds it for free.
+    const CalendarEntry* entry = peek_live();
+    const util::SimTime due = feed_due();
+    if (feed_goes_next(entry, due)) {
+      if (due > t) break;
+      drain_feed(due);
+      continue;
     }
-  } else {
-    for (;;) {
-      const CalendarEntry* entry = peek_live();
-      const util::SimTime due = feed_due();
-      if (entry != nullptr && entry->time <= t && entry->time <= due) {
-        const CalendarEntry current = *entry;
-        staged_.reset();
-        execute(current);
-        ++executed;
-      } else if (due <= t && due != util::SimTime::max()) {
-        drain_feed(due);
-      } else {
-        break;
-      }
-    }
+    if (entry == nullptr || entry->time > t) break;
+    const CalendarEntry current = *entry;
+    staged_.reset();
+    execute(current);
+    ++executed;
   }
   now_ = t;
   return executed;
@@ -199,13 +177,10 @@ std::size_t Simulator::run_until(util::SimTime t) {
 
 std::optional<util::SimTime> Simulator::next_event_time() {
   const CalendarEntry* entry = peek_live();
-  std::optional<util::SimTime> next;
-  if (entry != nullptr) next = entry->time;
-  if (feed_.drain != nullptr) {
-    const util::SimTime due = feed_due();
-    if (due != util::SimTime::max() && (!next || due < *next)) next = due;
-  }
-  return next;
+  const util::SimTime due = feed_due();
+  if (feed_goes_next(entry, due)) return due;
+  if (entry == nullptr) return std::nullopt;
+  return entry->time;
 }
 
 void Simulator::clear() {

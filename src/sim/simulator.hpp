@@ -23,7 +23,7 @@
 // feed drains its tick t, then the events its handlers scheduled at t.
 // Feed ticks are not events: executed_count(), pending_count() and
 // peak_pending_count() never count them. A simulator with no feed pays one
-// null check per run_until() call and per step().
+// predictable null check per event.
 #pragma once
 
 #include <cstdint>
@@ -180,18 +180,23 @@ class Simulator {
   /// repeated peeks are backend-free.
   const CalendarEntry* peek_live();
 
-  /// Pops entries until a live one surfaces (skipping cancelled residue);
-  /// nullopt when the queue is exhausted.
-  std::optional<CalendarEntry> pop_live();
-
   /// Fires `entry`, whose slot has already been verified live.
   void execute(const CalendarEntry& entry);
 
   EventId schedule_impl(util::SimTime t, Callback cb, bool timer);
 
-  /// The feed's earliest due tick (SimTime::max() when it is empty).
+  /// The feed's earliest due tick (SimTime::max() when it is empty or no
+  /// feed is attached).
   [[nodiscard]] util::SimTime feed_due() const {
-    return feed_.next_due(feed_.context);
+    return feed_.drain != nullptr ? feed_.next_due(feed_.context)
+                                  : util::SimTime::max();
+  }
+
+  /// The tie rule, in its one place: the feed goes before the least live
+  /// event `entry` only when its tick `due` is strictly earlier, so every
+  /// event due at a tick fires before the feed drains that tick.
+  static bool feed_goes_next(const CalendarEntry* entry, util::SimTime due) {
+    return due != util::SimTime::max() && (entry == nullptr || due < entry->time);
   }
 
   /// Drains the feed's tick `due`, the earliest work left in the run.

@@ -468,17 +468,11 @@ SimulationResult StreamingSystem::run() {
   // First-time requests arrive through a lazy, self-rescheduling source:
   // one in-flight event instead of an O(population) t=0 event-list build
   // (see engine/arrival_source.hpp for the ordering argument).
-  util::Rng arrival_rng = util::Rng(config_.seed).substream("arrivals");
-  auto schedule =
-      config_.randomize_arrivals
-          ? workload::ArrivalSchedule::make_sampled(config_.pattern,
-                                                    config_.population.requesters,
-                                                    config_.arrival_window, arrival_rng)
-          : workload::ArrivalSchedule::make(config_.pattern,
-                                            config_.population.requesters,
-                                            config_.arrival_window);
   const std::int64_t first_requester = config_.population.seeds;
-  ArrivalSource arrivals(simulator_, std::move(schedule),
+  ArrivalSource arrivals(simulator_,
+                         workload::ArrivalSchedule::make(config_.pattern,
+                                                         config_.population.requesters,
+                                                         config_.arrival_window),
                          [this, first_requester](std::int64_t index) {
                            first_request(core::PeerId{static_cast<std::uint64_t>(
                                first_requester + index)});

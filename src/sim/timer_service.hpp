@@ -66,7 +66,7 @@ class TimerService {
   [[nodiscard]] util::SimTime now() const { return simulator_.now(); }
 
   /// Arms a one-shot timer at absolute `deadline`. The callback is
-  /// consumed on firing; cancel() or rearm_*() before then to keep it.
+  /// consumed on firing; cancel() or rearm_at() before then to keep it.
   /// A deadline at or before now is legal and means "already due": the
   /// timer fires at the next poll (immediately, when armed from inside a
   /// firing callback) carrying its own logical deadline — this is how
@@ -80,7 +80,6 @@ class TimerService {
   /// (the cheap path for the idle-elevation rearm-on-every-request
   /// pattern). Returns false when the id is stale (fired/cancelled).
   bool rearm_at(TimerId id, util::SimTime deadline);
-  bool rearm_after(TimerId id, util::SimTime delay);
 
   /// Cancels a pending timer. Returns true if it was still pending. Safe on
   /// stale ids.

@@ -87,21 +87,12 @@ ArrivalSchedule ArrivalSchedule::from_pieces(std::vector<RatePiece> pieces,
   return ArrivalSchedule(std::move(pieces), total);
 }
 
-ArrivalSchedule ArrivalSchedule::make_sampled(ArrivalPattern pattern,
-                                              std::int64_t total,
-                                              util::SimTime window, util::Rng& rng) {
-  P2PS_REQUIRE(total >= 0);
-  P2PS_REQUIRE(window > util::SimTime::zero());
-  return ArrivalSchedule(pieces_for(pattern, window), total, &rng);
-}
-
 ArrivalSchedule ArrivalSchedule::make_lazy(ArrivalPattern pattern,
                                            std::int64_t total,
                                            util::SimTime window) {
   P2PS_REQUIRE(total >= 0);
   P2PS_REQUIRE(window > util::SimTime::zero());
-  return ArrivalSchedule(pieces_for(pattern, window), total, nullptr,
-                         /*lazy=*/true);
+  return ArrivalSchedule(pieces_for(pattern, window), total, /*lazy=*/true);
 }
 
 const std::vector<util::SimTime>& ArrivalSchedule::times() const {
@@ -110,10 +101,8 @@ const std::vector<util::SimTime>& ArrivalSchedule::times() const {
 }
 
 ArrivalSchedule::ArrivalSchedule(std::vector<RatePiece> pieces, std::int64_t total,
-                                 util::Rng* rng, bool lazy)
+                                 bool lazy)
     : pieces_(std::move(pieces)), total_(total), lazy_(lazy) {
-  P2PS_REQUIRE_MSG(!(lazy && rng != nullptr),
-                   "sampled schedules cannot be lazy (times must be sorted)");
   double weight_sum = 0.0;
   for (const auto& piece : pieces_) {
     P2PS_REQUIRE(piece.duration > util::SimTime::zero());
@@ -124,25 +113,16 @@ ArrivalSchedule::ArrivalSchedule(std::vector<RatePiece> pieces, std::int64_t tot
   P2PS_REQUIRE_MSG(weight_sum > 0.0, "arrival pattern carries no weight");
   for (auto& piece : pieces_) piece.weight /= weight_sum;
 
-  // Arrival placement: each arrival corresponds to a quantile q of the
-  // piecewise-linear CDF, inverted exactly within its piece
-  // (quantile_time). Deterministic mode uses the evenly spaced
-  // q = (i+0.5)/total (exact cumulative curve); sampled mode draws
-  // q ~ U[0,1) i.i.d. — a Poisson process conditioned on the exact total.
-  // Lazy mode materialises nothing: deterministic placement is a pure
-  // function of the index, so arrival_at computes it on demand.
+  // Arrival placement: arrival i sits at the evenly spaced quantile
+  // q = (i+0.5)/total of the piecewise-linear CDF, inverted exactly within
+  // its piece (quantile_time), so the cumulative curve is exact. Lazy mode
+  // materialises nothing: placement is a pure function of the index, so
+  // arrival_at computes it on demand.
   if (lazy_) return;
   times_.reserve(static_cast<std::size_t>(total));
-  if (rng == nullptr) {
-    for (std::int64_t i = 0; i < total; ++i) {
-      times_.push_back(
-          quantile_time((static_cast<double>(i) + 0.5) / static_cast<double>(total)));
-    }
-  } else {
-    for (std::int64_t i = 0; i < total; ++i) {
-      times_.push_back(quantile_time(rng->uniform01()));
-    }
-    std::sort(times_.begin(), times_.end());
+  for (std::int64_t i = 0; i < total; ++i) {
+    times_.push_back(
+        quantile_time((static_cast<double>(i) + 0.5) / static_cast<double>(total)));
   }
   P2PS_ENSURE(std::is_sorted(times_.begin(), times_.end()));
   P2PS_ENSURE(times_.empty() || times_.back() < window_);

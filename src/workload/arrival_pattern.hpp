@@ -20,7 +20,6 @@
 #include <string_view>
 #include <vector>
 
-#include "util/rng.hpp"
 #include "util/sim_time.hpp"
 
 namespace p2ps::workload {
@@ -84,14 +83,6 @@ class ArrivalSchedule {
   [[nodiscard]] static ArrivalSchedule from_pieces(std::vector<RatePiece> pieces,
                                                    std::int64_t total);
 
-  /// Like make(), but arrival times are sampled i.i.d. from the pattern's
-  /// density instead of quantile-placed — the stochastic-arrival variant
-  /// (conditioned on the exact total, this is a Poisson process given N).
-  [[nodiscard]] static ArrivalSchedule make_sampled(ArrivalPattern pattern,
-                                                    std::int64_t total,
-                                                    util::SimTime window,
-                                                    util::Rng& rng);
-
   /// Like make(), but arrival_at(i) is computed on demand from the
   /// (tiny) piece table instead of materialising all `total` times — O(1)
   /// memory for arbitrarily large populations. Deterministic placement is
@@ -126,7 +117,7 @@ class ArrivalSchedule {
 
  private:
   ArrivalSchedule(std::vector<RatePiece> pieces, std::int64_t total,
-                  util::Rng* rng = nullptr, bool lazy = false);
+                  bool lazy = false);
 
   /// Exact inversion of the piecewise-linear CDF at quantile q — the one
   /// placement function both the eager fill and lazy arrival_at use, so

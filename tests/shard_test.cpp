@@ -973,6 +973,20 @@ TEST(ShardedSystem, ConfigValidationCatchesUnsafeParameters) {
     EXPECT_THROW(engine::ShardedSystem{std::move(config)},
                  util::ContractViolation);
   }
+  {
+    // A deadline armed before one sample could land on the next.
+    auto config = small_sharded_config(2);
+    config.sample_interval = config.response_timeout;
+    EXPECT_THROW(engine::ShardedSystem{std::move(config)},
+                 util::ContractViolation);
+  }
+  {
+    // The tightest accepted interval; it also clears max_latency(), which
+    // the response-window bound already implies.
+    auto config = small_sharded_config(2);
+    config.sample_interval = config.response_timeout + SimTime::millis(1);
+    EXPECT_NO_THROW(engine::ShardedSystem{std::move(config)});
+  }
 }
 
 // ---------- sharded scenarios: whole-payload byte parity ----------

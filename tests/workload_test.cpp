@@ -89,16 +89,6 @@ TEST(ArrivalCursor, PeekDoesNotAdvance) {
   EXPECT_EQ(cursor.peek(), schedule.times()[1]);
 }
 
-TEST(ArrivalCursor, SampledVariantWalksIdentically) {
-  util::Rng rng(7);
-  const auto schedule = ArrivalSchedule::make_sampled(
-      ArrivalPattern::kPeriodicBursts, 5'000, kWindow, rng);
-  auto cursor = schedule.cursor();
-  std::vector<SimTime> walked;
-  while (auto t = cursor.next_arrival()) walked.push_back(*t);
-  EXPECT_EQ(walked, schedule.times());
-}
-
 TEST(ArrivalCursor, EmptyScheduleIsBornExhausted) {
   const auto schedule = ArrivalSchedule::make(ArrivalPattern::kConstant, 0, kWindow);
   auto cursor = schedule.cursor();
@@ -209,31 +199,6 @@ TEST(Pattern4, PeriodicBursts) {
     EXPECT_GT(schedule.rate_per_hour_at(start + SimTime::hours(1)),
               5.0 * schedule.rate_per_hour_at(start + SimTime::hours(6)));
   }
-}
-
-TEST(SampledArrivals, ExactTotalSortedDeterministicBySeed) {
-  util::Rng a(5), b(5), c(6);
-  const auto sa =
-      ArrivalSchedule::make_sampled(ArrivalPattern::kRampUpDown, 5000, kWindow, a);
-  const auto sb =
-      ArrivalSchedule::make_sampled(ArrivalPattern::kRampUpDown, 5000, kWindow, b);
-  const auto sc =
-      ArrivalSchedule::make_sampled(ArrivalPattern::kRampUpDown, 5000, kWindow, c);
-  EXPECT_EQ(sa.total(), 5000);
-  EXPECT_TRUE(std::is_sorted(sa.times().begin(), sa.times().end()));
-  EXPECT_EQ(sa.times(), sb.times());
-  EXPECT_NE(sa.times(), sc.times());
-  EXPECT_LT(sa.times().back(), kWindow);
-}
-
-TEST(SampledArrivals, ShapeMatchesTheDensity) {
-  util::Rng rng(9);
-  const auto schedule =
-      ArrivalSchedule::make_sampled(ArrivalPattern::kBurstThenConstant, 50'000,
-                                    kWindow, rng);
-  // ~40% of mass in the first twelfth of the window, within sampling noise.
-  const auto burst = schedule.arrivals_between(SimTime::zero(), SimTime::hours(6));
-  EXPECT_NEAR(static_cast<double>(burst), 0.4 * 50'000, 0.02 * 50'000);
 }
 
 TEST(ArrivalSchedule, RateIsZeroOutsideWindow) {

@@ -1,7 +1,12 @@
 // Tests for the message-level (asynchronous) streaming-system engine.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "engine/async_system.hpp"
+#include "obs/telemetry.hpp"
+#include "protocol_results.hpp"
 #include "util/assert.hpp"
 
 namespace p2ps::engine {
@@ -119,6 +124,36 @@ INSTANTIATE_TEST_SUITE_P(DropPercent, AsyncLossSweep,
                            return "drop" + std::to_string(info.param);
                          });
 
+// Arrival shapes other than the constant one reach the message-level
+// protocol too; conservation must hold for each.
+class AsyncEveryArrivalPattern
+    : public ::testing::TestWithParam<workload::ArrivalPattern> {};
+
+TEST_P(AsyncEveryArrivalPattern, ConservesPeers) {
+  auto config = small_config(23);
+  config.pattern = GetParam();
+  AsyncStreamingSystem system(config);
+  const auto result = system.run();
+  EXPECT_EQ(result.overall.first_requests, 60);
+  EXPECT_GT(result.overall.admissions, 0);
+  EXPECT_EQ(result.suppliers_at_end, 6 + result.sessions_completed);
+  EXPECT_EQ(result.overall.admissions,
+            result.sessions_completed + result.sessions_active_at_end);
+  if (result.sessions_active_at_end == 0) {
+    EXPECT_EQ(system.busy_suppliers(), 0);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Patterns, AsyncEveryArrivalPattern,
+    ::testing::Values(workload::ArrivalPattern::kConstant,
+                      workload::ArrivalPattern::kRampUpDown,
+                      workload::ArrivalPattern::kBurstThenConstant,
+                      workload::ArrivalPattern::kPeriodicBursts),
+    [](const ::testing::TestParamInfo<workload::ArrivalPattern>& info) {
+      return "pattern" + std::to_string(static_cast<int>(info.param));
+    });
+
 TEST(AsyncEngine, NdacModeRuns) {
   auto config = small_config();
   config.protocol.differentiated = false;
@@ -144,6 +179,24 @@ TEST(AsyncEngine, RunTwiceThrows) {
   AsyncStreamingSystem system(small_config());
   (void)system.run();
   EXPECT_THROW((void)system.run(), util::ContractViolation);
+}
+
+// Telemetry snapshotting at every sample must leave every protocol field
+// of a message-level run unchanged.
+TEST(AsyncEngine, TelemetryLeavesEveryProtocolResultUnchanged) {
+  const auto reference = AsyncStreamingSystem(small_config(13)).run();
+  obs::TelemetryOptions options;
+  options.path = ::testing::TempDir() + "async_engine_telemetry.jsonl";
+  options.interval_ms = 0;
+  options.heartbeat = false;
+  obs::Telemetry telemetry(std::move(options));
+  ASSERT_TRUE(telemetry.ok());
+  auto config = small_config(13);
+  config.telemetry = &telemetry;
+  const auto instrumented = AsyncStreamingSystem(config).run();
+  expect_same_protocol_results(instrumented, reference);
+  EXPECT_GT(telemetry.snapshots(), 0);
+  EXPECT_GT(telemetry.registry().aggregate("messages_sent"), 0);
 }
 
 TEST(AsyncEngine, MessageVolumeIsProportionalToAttempts) {

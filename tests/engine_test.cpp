@@ -3,9 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "engine/streaming_system.hpp"
+#include "obs/telemetry.hpp"
+#include "protocol_results.hpp"
 #include "util/assert.hpp"
 
 namespace p2ps::engine {
@@ -81,6 +85,38 @@ TEST(Engine, DeterministicReplay) {
   EXPECT_TRUE(any_difference);
 }
 
+// Conservation holds whatever the shape of the arrival curve: every
+// requester arrives inside the window and every completed session adds a
+// supplier.
+class EveryArrivalPattern
+    : public ::testing::TestWithParam<workload::ArrivalPattern> {};
+
+TEST_P(EveryArrivalPattern, SessionEngineConservesPeers) {
+  auto config = small_config(23);
+  config.pattern = GetParam();
+  const auto result = StreamingSystem(config).run();
+  std::int64_t first_requests = 0;
+  std::int64_t admissions = 0;
+  for (const auto& counters : result.totals) {
+    first_requests += counters.first_requests;
+    admissions += counters.admissions;
+  }
+  EXPECT_EQ(first_requests, 60);
+  EXPECT_GT(admissions, 0);
+  EXPECT_EQ(result.suppliers_at_end, 6 + result.sessions_completed);
+  EXPECT_EQ(admissions, result.sessions_completed + result.sessions_active_at_end);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Patterns, EveryArrivalPattern,
+    ::testing::Values(workload::ArrivalPattern::kConstant,
+                      workload::ArrivalPattern::kRampUpDown,
+                      workload::ArrivalPattern::kBurstThenConstant,
+                      workload::ArrivalPattern::kPeriodicBursts),
+    [](const ::testing::TestParamInfo<workload::ArrivalPattern>& info) {
+      return "pattern" + std::to_string(static_cast<int>(info.param));
+    });
+
 TEST(Engine, BufferingDelayIsAtLeastTwoSuppliers) {
   const auto result = StreamingSystem(small_config()).run();
   for (const auto& counters : result.totals) {
@@ -99,6 +135,25 @@ TEST(Engine, TimerEventsOccupyAtMostOneEventListSlot) {
   EXPECT_GT(result.suppliers_at_end, 20);
   EXPECT_LE(result.peak_event_list_timers, 1);
   EXPECT_GT(result.peak_event_list, result.peak_event_list_timers);
+}
+
+// The scenario-level telemetry parity test compares payloads; this one
+// attaches a sink that snapshots at every sample straight to the engine and
+// compares every protocol field of the result.
+TEST(Engine, TelemetryLeavesEveryProtocolResultUnchanged) {
+  const auto reference = StreamingSystem(small_config(11)).run();
+  obs::TelemetryOptions options;
+  options.path = ::testing::TempDir() + "engine_telemetry.jsonl";
+  options.interval_ms = 0;
+  options.heartbeat = false;
+  obs::Telemetry telemetry(std::move(options));
+  ASSERT_TRUE(telemetry.ok());
+  auto config = small_config(11);
+  config.telemetry = &telemetry;
+  const auto instrumented = StreamingSystem(config).run();
+  expect_same_protocol_results(instrumented, reference);
+  EXPECT_GT(telemetry.snapshots(), 0);
+  EXPECT_GT(telemetry.registry().aggregate("timers_fired"), 0);
 }
 
 TEST(Engine, RunTwiceThrows) {

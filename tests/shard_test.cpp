@@ -955,6 +955,12 @@ TEST(ShardedSystem, ResultIsIdenticalAcrossEventListBackends) {
   EXPECT_EQ(fingerprint(heap_system.run()), fingerprint(calendar_system.run()));
 }
 
+TEST(ShardedSystem, RunTwiceThrows) {
+  engine::ShardedSystem system(small_sharded_config(2));
+  (void)system.run();
+  EXPECT_THROW((void)system.run(), util::ContractViolation);
+}
+
 TEST(ShardedSystem, ConfigValidationCatchesUnsafeParameters) {
   {
     auto config = small_sharded_config(2);

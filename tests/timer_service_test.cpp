@@ -72,6 +72,23 @@ TEST(TimerService, RearmMovesTheDeadlineAndKeepsTheCallback) {
   EXPECT_FALSE(timers.rearm_at(id, SimTime::millis(45)));  // stale
 }
 
+// Moving a deadline earlier must pull the wheel's notification forward
+// too, or the timer would fire at its old, later deadline.
+TEST(TimerService, RearmToAnEarlierDeadlineFiresThere) {
+  Simulator simulator;
+  TimerService timers(simulator);
+  std::vector<std::int64_t> fired_at;
+  const TimerId id = timers.arm_after(
+      SimTime::minutes(30), [&](SimTime at) { fired_at.push_back(at.as_millis()); });
+  simulator.schedule_at(SimTime::millis(5), [&] {
+    EXPECT_TRUE(timers.rearm_at(id, SimTime::millis(20)));
+  });
+  simulator.run();
+  EXPECT_EQ(fired_at, (std::vector<std::int64_t>{20}));
+  EXPECT_EQ(timers.fired(), 1u);
+  EXPECT_EQ(timers.armed(), 0u);
+}
+
 TEST(TimerService, PendingIsDeadlineAwareAheadOfTheNotification) {
   // An unrelated event at the deadline, queued before the timer was armed,
   // runs ahead of the wheel's notification event at that instant. It must

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 #include <vector>
 
 #include "util/assert.hpp"
@@ -59,6 +60,19 @@ TEST_P(EveryPattern, CursorWalkMatchesTimesVector) {
   while (auto t = cursor.next_arrival()) walked.push_back(*t);
   EXPECT_EQ(walked, schedule.times());
   EXPECT_TRUE(cursor.exhausted());
+}
+
+TEST_P(EveryPattern, LazyCursorWalksLikeTheEagerOne) {
+  // The sharded engine walks make_lazy schedules; its cursor must hand out
+  // the eager schedule's times, in order, and then stay exhausted.
+  const auto eager = ArrivalSchedule::make(GetParam(), 2'000, kWindow);
+  const auto lazy = ArrivalSchedule::make_lazy(GetParam(), 2'000, kWindow);
+  auto cursor = lazy.cursor();
+  std::vector<SimTime> walked;
+  while (auto t = cursor.next_arrival()) walked.push_back(*t);
+  EXPECT_EQ(walked, eager.times());
+  EXPECT_TRUE(cursor.exhausted());
+  EXPECT_EQ(cursor.peek(), std::nullopt);
 }
 
 TEST(ArrivalCursor, ExhaustionIsSticky) {
